@@ -10,7 +10,7 @@ pure-Python twin selected automatically (override with MBZETA_BACKEND).
 """
 from ._backend import BACKEND
 from ._version import __version__
-from . import cli, contour, residues, specfun, verify, zeta
+from . import contour, residues, specfun, verify, zeta
 from .contour import (GAMMA_POWER, ZETA_GAMMA_POWER, ZETA_ZETA_GAMMA,
                       IntegrandFamily, QuadratureResult, RectangleSpec,
                       VerticalLineSpec, gamma_power, integrand_eval,
@@ -35,7 +35,7 @@ from .zeta import (ZetaEvalConfig, double_sum_oracle, hurwitz_zeta,
 
 __all__ = [
     "__version__", "BACKEND",
-    "cli", "contour", "residues", "specfun", "verify", "zeta",
+    "contour", "residues", "specfun", "verify", "zeta",
     # contour
     "GAMMA_POWER", "ZETA_GAMMA_POWER", "ZETA_ZETA_GAMMA", "IntegrandFamily",
     "QuadratureResult", "RectangleSpec", "VerticalLineSpec", "gamma_power",

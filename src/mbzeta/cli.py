@@ -321,10 +321,9 @@ def _execute_residues(cmd):
     p = cmd.params
     f = p["family"]
     rows = []
-    for n in range(p["lo"], p["hi"] + 1):
-        if f.is_pole(n):
-            loc = classify_pole(f, n)
-            rows.append((loc, residue_at(f, loc).value))
+    for n in f.poles(p["lo"], p["hi"]):
+        loc = classify_pole(f, n)
+        rows.append((loc, residue_at(f, loc).value))
     payload = [{"position": loc.position, "kind": loc.kind,
                 **_complex_fields("residue", v)} for loc, v in rows]
     lines = [f"n={loc.position:+d} kind={loc.kind} residue={_fmt_complex(v)}"

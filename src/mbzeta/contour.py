@@ -97,20 +97,25 @@ class IntegrandFamily:
             return True
         return n < 0 and n % 2 != 0  # even negatives killed by trivial zeros
 
+    def poles(self, lo, hi):
+        """The poles n with lo <= n <= hi, ascending.
+
+        The pole field ends at 0 for gamma_power and at 1 for the zeta
+        families, so hi may be arbitrarily large.
+        """
+        top = 0 if self.tag == GAMMA_POWER else 1
+        return [n for n in range(math.ceil(lo), min(math.floor(hi), top) + 1)
+                if self.is_pole(n)]
+
     def nearest_pole(self, z):
-        """Closest pole to z (poles are integers on the real axis)."""
+        """Closest pole to z, the lower one on ties."""
         z = complex(z)
-        best, bestd = None, math.inf
-        base = round(z.real)
-        for n in range(base - 2, base + 3):
-            m = min(n, 0) if self.tag == GAMMA_POWER else min(n, 1)
-            if self.is_pole(m):
-                d = abs(z - m)
-                if d < bestd:
-                    best, bestd = m, d
-        # the pole field is bounded on the right; the two candidates above
-        # cover every case because consecutive poles are at most 2 apart
-        return complex(best)
+        # left of Re z = -1/2 the window round(Re z) +- 2 holds the nearest
+        # pole, as consecutive poles are at most 2 apart; right of it the
+        # window holds every pole >= -2, up to where the field ends
+        n = round(z.real)
+        near = self.poles(min(n, 0) - 2, n + 2)
+        return complex(min(near, key=lambda p: abs(z - p)))
 
 
 def gamma_power(s, u):
@@ -185,9 +190,24 @@ def integrand_eval(f, z, cfg=DEFAULT_CONFIG):
     pole = f.nearest_pole(z)
     if abs(z - pole) <= POLE_GUARD:
         raise PoleProximity(z, pole)
+    return _bound_integrand(f, cfg)(z)
+
+
+def _bound_integrand(f, cfg):
+    """The kernel integrand of family f at cfg's term arguments, z -> value.
+
+    No pole guard: the quadrature loops check their paths once up front.
+    """
     em_min, em_per_im = cfg._term_args()
-    return kernels.integrand(_KERNEL_TAG[f.tag], f.s, f.param, z, em_min,
-                             em_per_im, cfg.correction_order, cfg.reflect_below)
+    tag = _KERNEL_TAG[f.tag]
+    s, p = f.s, f.param
+    order, reflect_below = cfg.correction_order, cfg.reflect_below
+    kern = kernels.integrand
+
+    def fn(z):
+        return kern(tag, s, p, z, em_min, em_per_im, order, reflect_below)
+
+    return fn
 
 
 class _CompensatedSum:
@@ -263,17 +283,12 @@ def _adaptive_segment(f, z0, z1, tol_abs, max_evaluations):
 
 
 def _segment_pole_distance(f, z0, z1):
-    """Min distance from the family's (real, integer) poles to segment [z0, z1]."""
-    lo = min(z0.real, z1.real) - 2.0
+    """Min distance from the family's poles to segment [z0, z1]; exact when
+    it is at most 2, and otherwise only known to exceed 2."""
+    lo = math.floor(min(z0.real, z1.real) - 2.0)
     hi = max(z0.real, z1.real) + 2.0
-    top = 1 if f.tag != GAMMA_POWER else 0
-    best = math.inf
-    n = min(top, math.floor(hi))
-    while n >= math.floor(lo):
-        if f.is_pole(n):
-            best = min(best, _point_segment_distance(complex(n), z0, z1))
-        n -= 1
-    return best
+    return min((_point_segment_distance(complex(n), z0, z1)
+                for n in f.poles(lo, hi)), default=math.inf)
 
 
 def _point_segment_distance(p, z0, z1):
@@ -294,16 +309,8 @@ def integrate_segment(f, z0, z1, tol=1e-10, cfg=DEFAULT_CONFIG,
     z1 = complex(z1)
     if _segment_pole_distance(f, z0, z1) <= pole_guard:
         raise PoleOnPath(f"segment [{z0}, {z1}] passes within {pole_guard} of a pole")
-    em_min, em_per_im = cfg._term_args()
-    tag = _KERNEL_TAG[f.tag]
-    s, p = f.s, f.param
-    kern = kernels.integrand
-
-    def fn(z):
-        return kern(tag, s, p, z, em_min, em_per_im, cfg.correction_order,
-                    cfg.reflect_below)
-
-    raw, err, n = _adaptive_segment(fn, z0, z1, tol * TWO_PI, max_evaluations)
+    raw, err, n = _adaptive_segment(_bound_integrand(f, cfg), z0, z1,
+                                    tol * TWO_PI, max_evaluations)
     return QuadratureResult(raw / (2j * math.pi), err / TWO_PI, 0.0, n)
 
 
@@ -352,17 +359,9 @@ def _integrate_vertical_unchecked(f, x0, tol, cfg=DEFAULT_CONFIG,
         if T > 500.0:
             raise ToleranceUnreachable(
                 f"tail bound will not reach {tol} at practical heights")
-    em_min, em_per_im = cfg._term_args()
-    tag = _KERNEL_TAG[f.tag]
-    s, p = f.s, f.param
-    kern = kernels.integrand
-
-    def fn(z):
-        return kern(tag, s, p, z, em_min, em_per_im, cfg.correction_order,
-                    cfg.reflect_below)
-
-    raw, err, n = _adaptive_segment(fn, complex(x0, -T), complex(x0, T),
-                                    0.5 * tol * TWO_PI, max_evaluations)
+    raw, err, n = _adaptive_segment(_bound_integrand(f, cfg), complex(x0, -T),
+                                    complex(x0, T), 0.5 * tol * TWO_PI,
+                                    max_evaluations)
     return QuadratureResult(raw / (2j * math.pi), err / TWO_PI,
                             _pair_tail_bound(x0, f.s, T, extra), n)
 
@@ -391,15 +390,7 @@ def integrate_rectangle(f, rect, tol=1e-9, cfg=DEFAULT_CONFIG,
         if _segment_pole_distance(f, a, b) <= pole_guard:
             raise PoleOnPath(
                 f"rectangle edge [{a}, {b}] passes within {pole_guard} of a pole")
-    em_min, em_per_im = cfg._term_args()
-    tag = _KERNEL_TAG[f.tag]
-    s, p = f.s, f.param
-    kern = kernels.integrand
-
-    def fn(z):
-        return kern(tag, s, p, z, em_min, em_per_im, cfg.correction_order,
-                    cfg.reflect_below)
-
+    fn = _bound_integrand(f, cfg)
     budget = max_evaluations
     value = 0j
     err = 0.0

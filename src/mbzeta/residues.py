@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .contour import GAMMA_POWER, ZETA_GAMMA_POWER, ZETA_ZETA_GAMMA
+from .contour import (GAMMA_POWER, ZETA_GAMMA_POWER, ZETA_ZETA_GAMMA,
+                      _bound_integrand)
 from .errors import (DomainViolation, NotAPole, OverflowRegime, PoleOnBoundary,
                      PoleOnCircle, ToleranceUnreachable)
 from .specfun import POLE_GUARD
-from .zeta import DEFAULT_CONFIG, zeta_negative_integer
+from .zeta import DEFAULT_CONFIG, _bound_zeta, zeta_negative_integer
 
 __all__ = [
     "ZETA_POLE", "GAMMA_POLE", "ODD_COMBINED", "PoleLocation", "ResidueTerm",
@@ -82,14 +83,8 @@ def enumerate_poles(f, rect):
             raise PoleOnBoundary(f"pole at {n} lies on the rectangle edge {edge}")
     if rect.T <= POLE_GUARD:
         raise PoleOnBoundary("rectangle height too small to clear real-axis poles")
-    out = []
-    n = math.ceil(left + POLE_GUARD)
-    top = min(1, math.floor(right - POLE_GUARD))
-    while n <= top:
-        if f.is_pole(n):
-            out.append(classify_pole(f, n))
-        n += 1
-    return out
+    return [classify_pole(f, n)
+            for n in f.poles(left + POLE_GUARD, right - POLE_GUARD)]
 
 
 def _gamma_value(w):
@@ -109,12 +104,7 @@ def residue_at(f, p, cfg=DEFAULT_CONFIG):
         raise NotAPole(f"{p} is not a pole of {f.tag}")
     s = f.s
     n = p.position
-    em_min, em_per_im = cfg._term_args()
-
-    def zeta(w):
-        return kernels.riemann_zeta(complex(w), em_min, em_per_im,
-                                    cfg.correction_order, cfg.reflect_below)
-
+    zeta = _bound_zeta(cfg)
     if f.tag == GAMMA_POWER:
         m = -n
         value = (((-1) ** m) / math.factorial(m)) * _gamma_value(s + m) * f.u ** m
@@ -148,9 +138,8 @@ def numerical_residue(f, z0, radius=0.3, tol=1e-10, cfg=DEFAULT_CONFIG,
     if radius <= 0.0:
         raise DomainViolation("radius must be positive")
     enclosed = []
-    for n in range(math.floor(z0.real - radius) - 1, math.ceil(z0.real + radius) + 2):
-        if not f.is_pole(n):
-            continue
+    for n in f.poles(math.floor(z0.real - radius) - 1,
+                     math.ceil(z0.real + radius) + 1):
         d = abs(z0 - n)
         if abs(d - radius) <= pole_guard:
             raise PoleOnCircle(f"pole at {n} within {pole_guard} of the circle")
@@ -159,10 +148,7 @@ def numerical_residue(f, z0, radius=0.3, tol=1e-10, cfg=DEFAULT_CONFIG,
     # the disk may contain at most the candidate pole at/near z0 itself
     if len(enclosed) > 1:
         raise PoleOnCircle(f"disk around {z0} encloses multiple poles {enclosed}")
-    em_min, em_per_im = cfg._term_args()
-    tag_map = {GAMMA_POWER: 0, ZETA_ZETA_GAMMA: 1, ZETA_GAMMA_POWER: 2}
-    tag, s, prm = tag_map[f.tag], f.s, f.param
-    kern = kernels.integrand
+    fn = _bound_integrand(f, cfg)
     n_pts = 16
     prev = None
     evals = 0
@@ -170,8 +156,7 @@ def numerical_residue(f, z0, radius=0.3, tol=1e-10, cfg=DEFAULT_CONFIG,
         acc = 0j
         for j in range(n_pts):
             w = cmath.exp(2j * math.pi * j / n_pts)
-            acc += kern(tag, s, prm, z0 + radius * w, em_min, em_per_im,
-                        cfg.correction_order, cfg.reflect_below) * radius * w
+            acc += fn(z0 + radius * w) * radius * w
         evals += n_pts
         cur = acc / n_pts
         if prev is not None and abs(cur - prev) < tol:
@@ -196,13 +181,11 @@ def asymptotic_tail_terms(s, M=20, cfg=DEFAULT_CONFIG):
         raise DomainViolation(f"M must be within 0..30, got {M}")
     if s.real + 2 * M + 1 > 170.0:
         raise OverflowRegime(f"Gamma(s + {2 * M + 1}) overflows binary64")
-    em_min, em_per_im = cfg._term_args()
+    zeta = _bound_zeta(cfg)
     terms = []
     for m in range(M + 1):
         w = s + (2 * m + 1)
-        t = (float(zeta_negative_integer(2 * m + 1))
-             * kernels.riemann_zeta(w, em_min, em_per_im, cfg.correction_order,
-                                    cfg.reflect_below)
+        t = (float(zeta_negative_integer(2 * m + 1)) * zeta(w)
              * cmath.exp(kernels.loggamma(w)) / math.factorial(2 * m + 1))
         terms.append(t)
     mags = [abs(t) for t in terms]

@@ -606,18 +606,10 @@ def _validate_config(config):
             "quadrature": quad}
 
 
-def _case_tolerance(case, tolerances):
-    if "tolerance" in case:
-        t = case["tolerance"]
-        if not (isinstance(t, (int, float)) and t > 0.0):
-            raise ConfigError(f"case tolerance must be positive, got {t!r}")
-        return float(t)
-    return tolerances[_TOL_KEY[case["kind"]]]
-
-
 def _run_case(case, index, ctx):
     kind = case["kind"]
-    tol = _case_tolerance(case, ctx["tolerances"])
+    # _precheck_case has already validated a case's own tolerance
+    tol = float(case.get("tolerance", ctx["tolerances"][_TOL_KEY[kind]]))
     cid = case.get("id", f"{kind}#{index}")
     if kind in IDENTITY_KINDS:
         params = {k: v for k, v in case.items()
@@ -642,9 +634,7 @@ def _run_case(case, index, ctx):
                             max_evaluations=ctx["max_evaluations"])
         return study.entries(case.get("id"))
     if kind == "envelope":
-        ranges = ctx["envelope_ranges"].get(case.get("bound"))
-        if ranges is None:
-            raise ConfigError(f"unknown envelope bound {case.get('bound')!r}")
+        ranges = ctx["envelope_ranges"][case["bound"]]
         fit = fit_envelope(case["bound"], ranges["fit"], ranges["test"],
                            cfg=ctx["cfg"])
         return [fit.entry(case.get("id"))]

@@ -66,9 +66,22 @@ def riemann_zeta(s, cfg=DEFAULT_CONFIG):
     t = abs(s.imag)
     if t > _IM_MAX_DIRECT or (s.real < cfg.reflect_below and t > _IM_MAX_REFLECT):
         raise OverflowRegime(f"|Im s| = {t} outside the validity window")
+    return _bound_zeta(cfg)(s)
+
+
+def _bound_zeta(cfg):
+    """The Riemann zeta kernel at cfg's term arguments, complex w -> value.
+
+    No pole or validity-window guard; riemann_zeta adds those.
+    """
     em_min, em_per_im = cfg._term_args()
-    return kernels.riemann_zeta(s, em_min, em_per_im, cfg.correction_order,
-                                cfg.reflect_below)
+    order, reflect_below = cfg.correction_order, cfg.reflect_below
+    kern = kernels.riemann_zeta
+
+    def zeta(w):
+        return kern(w, em_min, em_per_im, order, reflect_below)
+
+    return zeta
 
 
 def hurwitz_zeta(s, a, cfg=DEFAULT_CONFIG):

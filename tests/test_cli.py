@@ -2,9 +2,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mbzeta
 from mbzeta.cli import main, parse_args
 from mbzeta.errors import UsageError
 
@@ -235,3 +240,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["overall_pass"] is True
+
+
+def test_module_invocation_keeps_stderr_clean(tmp_path):
+    # `python -m mbzeta.cli` warns on stderr if `import mbzeta` loads cli
+    src = str(Path(mbzeta.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "MBZETA_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mbzeta.cli", "verify", "--format", "text"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "overall_pass" in proc.stdout

@@ -7,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mbzeta.contour import (RectangleSpec, VerticalLineSpec, gamma_power,
-                            integrand_eval, integrate_real_improper,
-                            integrate_rectangle, integrate_segment,
-                            integrate_vertical, zeta_gamma_power,
-                            zeta_zeta_gamma)
+from mbzeta._backend import kernels
+from mbzeta.contour import (RectangleSpec, VerticalLineSpec,
+                            _point_segment_distance, _segment_pole_distance,
+                            gamma_power, integrand_eval,
+                            integrate_real_improper, integrate_rectangle,
+                            integrate_segment, integrate_vertical,
+                            zeta_gamma_power, zeta_zeta_gamma)
 from mbzeta.errors import (DomainViolation, PoleOnPath, PoleProximity,
                            ToleranceUnreachable)
-from mbzeta.zeta import riemann_zeta
+from mbzeta.residues import (asymptotic_tail_terms, numerical_residue,
+                             residue_at)
+from mbzeta.zeta import ZetaEvalConfig, riemann_zeta
 
 
 def test_family_validation():
@@ -37,6 +41,34 @@ def test_pole_predicates():
     assert [n for n in range(-6, 3) if zz.is_pole(n)] == [-5, -3, -1, 0, 1]
     assert zz.nearest_pole(complex(0.9, 0.0)) == 1.0 + 0j
     assert gp.nearest_pole(complex(-2.2, 0.1)) == -2.0 + 0j
+
+
+_FAMILIES = (gamma_power(3.0, 0.5), zeta_zeta_gamma(4.0),
+             zeta_gamma_power(4.0, 2.0))
+# real parts with the integers and half-integers drawn often, where rounding
+# and ties decide which poles a scan sees
+_REAL = st.one_of(st.floats(-100.0, 100.0),
+                  st.integers(-200, 200).map(lambda k: k / 2))
+_POINT = st.builds(complex, _REAL, st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+
+
+def _all_poles(f):
+    return [n for n in range(-250, 3) if f.is_pole(n)]
+
+
+@given(st.sampled_from(_FAMILIES), _REAL, _REAL, _POINT, _POINT)
+@settings(max_examples=300, deadline=None)
+def test_pole_walk_matches_brute_force(f, lo, hi, z0, z1):
+    brute = _all_poles(f)
+    assert f.poles(lo, hi) == [n for n in brute if lo <= n <= hi]
+    # ascending scan: min keeps the lower pole on ties
+    assert f.nearest_pole(z0) == complex(min(brute, key=lambda n: abs(z0 - n)))
+    d = _segment_pole_distance(f, z0, z1)
+    best = min(_point_segment_distance(complex(n), z0, z1) for n in brute)
+    if best <= 2.0:
+        assert d == best
+    else:
+        assert d > 2.0
 
 
 def test_line_spec_validation():
@@ -234,3 +266,38 @@ def test_power_identity_property(s, u):
     r = integrate_vertical(gamma_power(s, u), VerticalLineSpec(c, 1e-9))
     expect = math.exp(math.lgamma(s)) * (1.0 + u) ** (-s)
     assert abs(r.value - expect) / abs(expect) < 1e-7
+
+
+# The kernels' default term arguments equal DEFAULT_CONFIG's, so only a
+# non-default config shows whether a binding passes cfg through.
+_BIND_CFG = ZetaEvalConfig(em_terms=30, correction_order=16, reflect_below=0.25)
+_ZZG = zeta_zeta_gamma(4.0)
+
+
+@pytest.mark.parametrize("kernel, run", [
+    ("integrand", lambda: integrand_eval(_ZZG, complex(1.5, 2.0), _BIND_CFG)),
+    ("integrand", lambda: integrate_segment(
+        _ZZG, complex(1.5, -2.0), complex(1.5, 2.0), 1e-6, _BIND_CFG)),
+    ("integrand", lambda: integrate_vertical(
+        _ZZG, VerticalLineSpec(1.5, 1e-6), _BIND_CFG)),
+    ("integrand", lambda: integrate_rectangle(
+        _ZZG, RectangleSpec(1.5, 2.0, 10.0), 1e-6, _BIND_CFG)),
+    ("integrand", lambda: numerical_residue(_ZZG, 0.0, tol=1e-6, cfg=_BIND_CFG)),
+    ("riemann_zeta", lambda: residue_at(_ZZG, -3, _BIND_CFG)),
+    ("riemann_zeta", lambda: asymptotic_tail_terms(4.0, 5, _BIND_CFG)),
+    ("riemann_zeta", lambda: riemann_zeta(complex(0.5, 14.0), _BIND_CFG)),
+], ids=["integrand_eval", "integrate_segment", "integrate_vertical",
+        "integrate_rectangle", "numerical_residue", "residue_at",
+        "asymptotic_tail_terms", "riemann_zeta"])
+def test_config_reaches_the_kernel(monkeypatch, kernel, run):
+    calls = []
+    orig = getattr(kernels, kernel)
+
+    def recorder(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(kernels, kernel, recorder)
+    run()
+    assert calls
+    assert all(c[-4:] == (30, 0.0, 16, 0.25) for c in calls)
