@@ -1,12 +1,7 @@
-"""Build with an optional Cython extension.
-
-The compiled kernel module is a speedup, not a requirement: if Cython or a C
-compiler is unavailable the build falls back to the pure-Python twin and the
-package still works. `MBZETA_SKIP_EXT=1` forces the fallback.
-"""
-import os
-
-from setuptools import setup
+"""Build with an optional C extension: the compiled kernels in src/mbzeta/_core.c
+are a speedup, not a requirement. If the build fails (say, for want of a C
+compiler) the package installs without them and uses the pure-Python twin."""
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -24,17 +19,5 @@ class OptionalBuildExt(build_ext):
             print(f"mbzeta: failed to build {ext.name} ({exc!r}); pure-Python backend will be used")
 
 
-ext_modules = []
-if not os.environ.get("MBZETA_SKIP_EXT"):
-    try:
-        from Cython.Build import cythonize
-        from setuptools import Extension
-
-        ext_modules = cythonize(
-            [Extension("mbzeta._core", ["src/mbzeta/_core.pyx"])],
-            language_level=3,
-        )
-    except Exception as exc:
-        print(f"mbzeta: Cython unavailable ({exc!r}); building without compiled core")
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[Extension("mbzeta._core", ["src/mbzeta/_core.c"])],
+      cmdclass={"build_ext": OptionalBuildExt})

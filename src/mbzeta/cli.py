@@ -35,6 +35,7 @@ _FAMILY_ALIASES = {
 }
 
 _EVAL_FUNCS = ("zeta", "gamma", "loggamma", "hurwitz", "beta", "bernoulli")
+_ALL_FORMATS = ("text", "json", "csv")
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,9 @@ def _build_parser():
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
-    def add(name, help_text, default_format="text"):
+    def add(name, help_text, default_format="text", formats=("text", "json")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default=default_format)
+        p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--out", default=None, help="write output to this path")
         return p
 
@@ -115,7 +115,8 @@ def _build_parser():
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
 
-    p = add("residues", "closed-form residues at the poles in a range")
+    p = add("residues", "closed-form residues at the poles in a range",
+            formats=_ALL_FORMATS)
     p.add_argument("--family", required=True)
     p.add_argument("--s", required=True)
     p.add_argument("--u", type=float, default=None)
@@ -123,11 +124,12 @@ def _build_parser():
     p.add_argument("--min", dest="lo", type=int, default=-5)
     p.add_argument("--max", dest="hi", type=int, default=1)
 
-    p = add("tail", "terms of the asymptotic residue tail")
+    p = add("tail", "terms of the asymptotic residue tail", formats=_ALL_FORMATS)
     p.add_argument("--s", required=True)
     p.add_argument("--M", type=int, default=20)
 
-    p = add("verify", "run the verification suite", default_format="json")
+    p = add("verify", "run the verification suite", default_format="json",
+            formats=_ALL_FORMATS)
     p.add_argument("--config", default=None,
                    help="config JSON path, or 'default' for the built-in "
                         f"battery; falls back to ${CONFIG_ENV_VAR}")

@@ -21,7 +21,7 @@ from ._backend import kernels
 from ._kernel_constants import (BERNOULLI_FRACTIONS, GAUSS_WEIGHTS, GK_NODES,
                                 GK_WEIGHTS)
 from .errors import (DomainViolation, PoleOnPath, PoleProximity,
-                     ToleranceUnreachable)
+                     ToleranceUnreachable, require_finite)
 from .specfun import POLE_GUARD
 from .zeta import DEFAULT_CONFIG
 
@@ -137,8 +137,8 @@ class VerticalLineSpec:
     tol: float = 1e-8
 
     def validate_for(self, family):
-        if self.tol <= 0.0:
-            raise DomainViolation("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainViolation(f"tol must be positive and finite, got {self.tol}")
         sigma = family.s.real
         if family.tag == GAMMA_POWER:
             if not (self.c >= 0.5 and sigma - self.c >= 0.5):
@@ -187,6 +187,7 @@ class QuadratureResult:
 def integrand_eval(f, z, cfg=DEFAULT_CONFIG):
     """Point evaluation of the family integrand, pole-guarded."""
     z = complex(z)
+    require_finite(z=z)
     pole = f.nearest_pole(z)
     if abs(z - pole) <= POLE_GUARD:
         raise PoleProximity(z, pole)
@@ -282,11 +283,11 @@ def _adaptive_segment(f, z0, z1, tol_abs, max_evaluations):
     return complex(re_sum.total(), im_sum.total()), err_sum.total(), evals
 
 
-def _segment_pole_distance(f, z0, z1):
+def _segment_pole_distance(f, z0, z1, reach=2.0):
     """Min distance from the family's poles to segment [z0, z1]; exact when
-    it is at most 2, and otherwise only known to exceed 2."""
-    lo = math.floor(min(z0.real, z1.real) - 2.0)
-    hi = max(z0.real, z1.real) + 2.0
+    it is at most reach, and otherwise only known to exceed reach."""
+    lo = math.floor(min(z0.real, z1.real) - reach)
+    hi = max(z0.real, z1.real) + reach
     return min((_point_segment_distance(complex(n), z0, z1)
                 for n in f.poles(lo, hi)), default=math.inf)
 
@@ -307,7 +308,7 @@ def integrate_segment(f, z0, z1, tol=1e-10, cfg=DEFAULT_CONFIG,
     """Oriented straight-line integral of the integrand, normalized by 1/(2*pi*i)."""
     z0 = complex(z0)
     z1 = complex(z1)
-    if _segment_pole_distance(f, z0, z1) <= pole_guard:
+    if _segment_pole_distance(f, z0, z1, pole_guard) <= pole_guard:
         raise PoleOnPath(f"segment [{z0}, {z1}] passes within {pole_guard} of a pole")
     raw, err, n = _adaptive_segment(_bound_integrand(f, cfg), z0, z1,
                                     tol * TWO_PI, max_evaluations)
@@ -387,7 +388,7 @@ def integrate_rectangle(f, rect, tol=1e-9, cfg=DEFAULT_CONFIG,
     c1, c2, c3, c4 = rect.corners()
     edges = ((c1, c2), (c2, c3), (c3, c4), (c4, c1))
     for a, b in edges:
-        if _segment_pole_distance(f, a, b) <= pole_guard:
+        if _segment_pole_distance(f, a, b, pole_guard) <= pole_guard:
             raise PoleOnPath(
                 f"rectangle edge [{a}, {b}] passes within {pole_guard} of a pole")
     fn = _bound_integrand(f, cfg)
@@ -430,6 +431,7 @@ def integrate_real_improper(s, tol=1e-10, cfg=DEFAULT_CONFIG,
     exponential bound falls below tol.
     """
     s = complex(s)
+    require_finite(s=s)
     if s.real <= 2.0:
         raise DomainViolation(f"integrate_real_improper needs Re(s) > 2, got {s}")
     eps = 1e-3

@@ -1,5 +1,6 @@
 """Error taxonomy. Every numerical failure mode is a named exception so the
 CLI can print the error name and offending parameters."""
+import cmath
 
 
 class MBZetaError(Exception):
@@ -27,6 +28,13 @@ class OverflowRegime(MBZetaError):
 
 class DomainViolation(MBZetaError):
     pass
+
+
+def require_finite(**values):
+    """Raise DomainViolation naming the first NaN or infinite argument."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise DomainViolation(f"{name} must be finite, got {value!r}")
 
 
 class ToleranceUnreachable(MBZetaError):

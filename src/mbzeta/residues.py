@@ -16,7 +16,7 @@ from ._backend import kernels
 from .contour import (GAMMA_POWER, ZETA_GAMMA_POWER, ZETA_ZETA_GAMMA,
                       _bound_integrand)
 from .errors import (DomainViolation, NotAPole, OverflowRegime, PoleOnBoundary,
-                     PoleOnCircle, ToleranceUnreachable)
+                     PoleOnCircle, ToleranceUnreachable, require_finite)
 from .specfun import POLE_GUARD
 from .zeta import DEFAULT_CONFIG, _bound_zeta, zeta_negative_integer
 
@@ -135,6 +135,7 @@ def numerical_residue(f, z0, radius=0.3, tol=1e-10, cfg=DEFAULT_CONFIG,
     only enclosed pole, and 0 over regular points.
     """
     z0 = complex(z0)
+    require_finite(z0=z0, radius=radius)
     if radius <= 0.0:
         raise DomainViolation("radius must be positive")
     enclosed = []

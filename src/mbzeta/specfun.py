@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from ._backend import kernels
 from ._kernel_constants import BERNOULLI_FRACTIONS, BERNOULLI_MAX_INDEX
-from .errors import IndexBeyondTable, PoleProximity, SectorViolation
+from .errors import (IndexBeyondTable, PoleProximity, SectorViolation,
+                     require_finite)
 
 __all__ = [
     "POLE_GUARD", "BERNOULLI_MAX_INDEX", "log_gamma", "gamma",
@@ -34,6 +35,7 @@ def nearest_gamma_pole(z):
 
 def _guard(z):
     z = complex(z)
+    require_finite(z=z)
     pole = nearest_gamma_pole(z)
     if abs(z - pole) <= POLE_GUARD:
         raise PoleProximity(z, pole)

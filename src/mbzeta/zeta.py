@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from ._backend import kernels
 from ._kernel_constants import BERNOULLI_FRACTIONS, BERNOULLI_MAX_INDEX, EM_COEFFS
-from .errors import DomainViolation, IndexBeyondTable, OverflowRegime, PoleProximity
+from .errors import (DomainViolation, IndexBeyondTable, OverflowRegime,
+                     PoleProximity, require_finite)
 from .specfun import POLE_GUARD
 
 __all__ = [
@@ -61,6 +62,7 @@ DEFAULT_CONFIG = ZetaEvalConfig()
 
 def riemann_zeta(s, cfg=DEFAULT_CONFIG):
     s = complex(s)
+    require_finite(s=s)
     if abs(s - 1.0) <= POLE_GUARD:
         raise PoleProximity(s, complex(1.0))
     t = abs(s.imag)
@@ -87,6 +89,7 @@ def _bound_zeta(cfg):
 def hurwitz_zeta(s, a, cfg=DEFAULT_CONFIG):
     """sum_{n>=0} (n+a)^{-s}, convergent region only (Re s > 1, a >= 1)."""
     s = complex(s)
+    require_finite(s=s, a=a)
     if s.real <= 1.0:
         raise DomainViolation(f"hurwitz_zeta needs Re(s) > 1, got {s}")
     if not (a >= 1.0):

@@ -1,15 +1,81 @@
-"""Pure-Python and compiled kernels must agree bit-for-bit in behavior."""
+"""Pure-Python and compiled kernels must agree in behavior and, to 1e-13
+relative, in digits. The compiled ones are built from src/mbzeta/_core.c into
+a temporary copy of the package, never into src/; the module skips only when
+no C compiler or no Python.h is found."""
+import importlib.util
+import inspect
+import json
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
-from mbzeta import BACKEND
-from mbzeta import _purepy
+import mbzeta
+from mbzeta import BACKEND, _purepy
+from mbzeta.zeta import DEFAULT_CONFIG, ZetaEvalConfig
 
-compiled = pytest.importorskip(
-    "mbzeta._core", reason="compiled kernel extension not built")
+SRC_ROOT = Path(mbzeta.__file__).resolve().parents[1]
+# a sloppy edit to _core.c fails the suite instead of shipping
+STRICT_FLAGS = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-Wno-unused-parameter"]
+# (em_min, em_per_im, order, reflect_below) as the package passes them: the
+# adaptive default and a fixed em_terms; plus the off-default (24, 1.2)
+TERM_ARGS = [cfg._term_args() + (cfg.correction_order, cfg.reflect_below)
+             for cfg in (DEFAULT_CONFIG, ZetaEvalConfig(em_terms=30))]
+TERM_ARGS.append((24, 1.2, 12, 0.5))
+
+
+def _missing_toolchain():
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        return f"no C compiler: {cc} not found"
+    include = Path(sysconfig.get_paths()["include"])
+    return None if (include / "Python.h").is_file() else f"no Python.h in {include}"
+
+
+@pytest.fixture(scope="module")
+def compiled_package(tmp_path_factory):
+    """Root of a copy of the mbzeta package with _core.c built into it."""
+    missing = _missing_toolchain()
+    if missing:
+        pytest.skip(missing)
+    from setuptools import Distribution, Extension
+
+    root = tmp_path_factory.mktemp("compiled")
+    shutil.copytree(SRC_ROOT / "mbzeta", root / "mbzeta",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"))
+    cc = Path(sysconfig.get_config_var("CC").split()[0]).name
+    flags = STRICT_FLAGS if "gcc" in cc or "clang" in cc else []
+    ext = Extension("mbzeta._core", [str(root / "mbzeta" / "_core.c")],
+                    extra_compile_args=flags)
+    build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
+    build.build_lib = str(root)
+    build.build_temp = str(tmp_path_factory.mktemp("build_temp"))
+    build.ensure_finalized()
+    build.run()
+    return root
+
+
+@pytest.fixture(scope="module")
+def compiled(compiled_package):
+    path = compiled_package / "mbzeta" / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    spec = importlib.util.spec_from_file_location("mbzeta._core", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_python(root, backend, *argv):
+    """`python *argv`, importing mbzeta from root under MBZETA_BACKEND=backend."""
+    env = {k: v for k, v in os.environ.items() if k != "MBZETA_CONFIG"}
+    env["MBZETA_BACKEND"] = backend
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, cwd=root, timeout=120)
 
 
 def _grid(re_lo, re_hi, im_lo, im_hi, n=9):
@@ -19,70 +85,156 @@ def _grid(re_lo, re_hi, im_lo, im_hi, n=9):
                           im_lo + (im_hi - im_lo) * j / (n - 1))
 
 
+def _off_gamma_poles(points):
+    return [z for z in points if not (abs(z - round(z.real)) < 1e-3 and z.real <= 0.5)]
+
+
 def test_backend_label():
     assert BACKEND in ("compiled", "python")
 
 
-def test_loggamma_parity():
-    for z in _grid(-5.5, 6.5, -8.0, 8.0):
-        if abs(z - round(z.real)) < 1e-3 and z.real <= 0.5:
-            continue
+def test_compiled_api_matches_the_twin(compiled):
+    assert compiled.BACKEND_NAME == "compiled"
+    for tag in ("TAG_GAMMA_POWER", "TAG_ZETA_ZETA_GAMMA", "TAG_ZETA_GAMMA_POWER"):
+        assert getattr(compiled, tag) == getattr(_purepy, tag)
+    for name in ("loggamma", "gamma", "zeta_em", "riemann_zeta", "hurwitz_zeta",
+                 "integrand"):
+        got = inspect.signature(getattr(compiled, name)).parameters.values()
+        want = inspect.signature(getattr(_purepy, name)).parameters.values()
+        assert [(p.name, p.default) for p in got] == \
+            [(p.name, p.default) for p in want], name
+    with pytest.raises(ValueError, match="unknown integrand tag 7"):
+        compiled.integrand(7, 4.0, 0.0, 1.5)
+
+
+def test_loggamma_parity(compiled):
+    for z in _off_gamma_poles(_grid(-5.5, 6.5, -8.0, 8.0)):
         a = _purepy.loggamma(z)
         b = compiled.loggamma(z)
         assert abs(a - b) <= 1e-13 * max(1.0, abs(a)), z
 
 
-def test_riemann_zeta_parity():
-    for z in _grid(-3.0, 5.0, -30.0, 30.0):
+def test_gamma_parity(compiled):
+    for z in _off_gamma_poles(_grid(-5.5, 30.5, -8.0, 8.0, n=13)):
+        a = _purepy.gamma(z)
+        b = compiled.gamma(z)
+        assert abs(a - b) <= 1e-13 * max(1.0, abs(a)), z
+
+
+@pytest.mark.parametrize("args", TERM_ARGS)
+def test_riemann_zeta_parity(compiled, args):
+    # Re s < 1/2 takes the functional equation; |Im s| up to 50
+    for z in _grid(-3.0, 5.0, -50.0, 50.0, n=11):
         if abs(z - 1.0) < 1e-2:
             continue
-        a = _purepy.riemann_zeta(z, 24, 1.2, 12, 0.5)
-        b = compiled.riemann_zeta(z, 24, 1.2, 12, 0.5)
+        a = _purepy.riemann_zeta(z, *args)
+        b = compiled.riemann_zeta(z, *args)
         assert abs(a - b) <= 1e-13 * max(1.0, abs(a)), z
 
 
-def test_zeta_em_parity():
+@pytest.mark.parametrize("args", TERM_ARGS)
+def test_hurwitz_zeta_parity(compiled, args):
+    for z in _grid(1.2, 8.0, -50.0, 50.0):
+        for shift in (1.0, 2.0, 3.5):
+            a = _purepy.hurwitz_zeta(z, shift, *args[:3])
+            b = compiled.hurwitz_zeta(z, shift, *args[:3])
+            assert abs(a - b) <= 1e-13 * max(1.0, abs(a)), (z, shift)
+
+
+def test_zeta_em_parity(compiled):
     for z in _grid(0.6, 4.0, -20.0, 20.0):
-        a = _purepy.zeta_em(z, 1.0, 50, 12)
-        b = compiled.zeta_em(z, 1.0, 50, 12)
-        assert abs(a - b) <= 1e-13 * max(1.0, abs(a)), z
-        a = _purepy.zeta_em(z, 2.0, 50, 12)
-        b = compiled.zeta_em(z, 2.0, 50, 12)
-        assert abs(a - b) <= 1e-13 * max(1.0, abs(a)), z
+        for shift in (1.0, 2.0):
+            a = _purepy.zeta_em(z, shift, 50, 12)
+            b = compiled.zeta_em(z, shift, 50, 12)
+            assert abs(a - b) <= 1e-13 * max(1.0, abs(a)), (z, shift)
 
 
-def test_integrand_parity_all_families():
+@pytest.mark.parametrize("args", TERM_ARGS)
+def test_integrand_parity_all_families(compiled, args):
     cases = [(0, complex(3.0, 0.0), 0.5), (1, complex(4.0, 0.0), 0.0),
-             (2, complex(4.0, 0.0), 2.0)]
+             (2, complex(4.0, 0.0), 2.0), (0, complex(3.0, 5.0), 0.7),
+             (1, complex(4.0, 20.0), 0.0), (2, complex(4.5, -20.0), 2.5)]
     for tag, s, prm in cases:
-        for z in _grid(1.2, 1.45, -25.0, 25.0, n=7):
-            a = _purepy.integrand(tag, s, prm, z, 24, 1.2, 12, 0.5)
-            b = compiled.integrand(tag, s, prm, z, 24, 1.2, 12, 0.5)
-            assert abs(a - b) <= 1e-12 * max(1e-30, abs(a)), (tag, z)
+        # the line strip, and rectangle left edges out to Re z = -4.3
+        for z in [*_grid(1.2, 1.45, -25.0, 25.0, n=7),
+                  *_grid(-4.3, 0.45, -25.0, 25.0, n=6)]:
+            a = _purepy.integrand(tag, s, prm, z, *args)
+            b = compiled.integrand(tag, s, prm, z, *args)
+            assert abs(a - b) <= 1e-12 * max(1e-30, abs(a)), (tag, s, z)
 
 
-def _run_with_backend(value):
-    env = dict(os.environ, MBZETA_BACKEND=value)
-    return subprocess.run(
-        [sys.executable, "-c",
-         "from mbzeta import BACKEND; import mbzeta.zeta as z; "
-         "print(BACKEND, abs(z.riemann_zeta(2.0) - 1.6449340668482264) < 1e-12)"],
-        capture_output=True, text=True, env=env)
+_SELECT = ("from mbzeta import BACKEND; import mbzeta.zeta as z; "
+           "print(BACKEND, abs(z.riemann_zeta(2.0) - 1.6449340668482264) < 1e-12)")
 
 
-def test_backend_env_selection():
-    out = _run_with_backend("python")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["python", "True"]
-    out = _run_with_backend("compiled")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["compiled", "True"]
-    out = _run_with_backend("auto")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split()[0] in ("compiled", "python")
+def test_backend_env_selection(compiled_package):
+    for backend, active in (("python", "python"), ("compiled", "compiled"),
+                            ("auto", "compiled")):
+        out = _run_python(compiled_package, backend, "-c", _SELECT)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [active, "True"]
 
 
 def test_backend_env_rejects_unknown():
-    out = _run_with_backend("fortran")
+    out = _run_python(SRC_ROOT, "fortran", "-c", _SELECT)
     assert out.returncode != 0
     assert "MBZETA_BACKEND" in out.stderr
+
+
+def test_cli_verify_on_the_compiled_backend(compiled_package):
+    out = _run_python(compiled_package, "compiled", "-m", "mbzeta.cli", "verify")
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["overall_pass"] is True
+    assert report["environment"]["backend"] == "compiled"
+
+
+# Non-finite input at the public boundary must raise DomainViolation within a
+# second on both backends; one subprocess per backend, so a kernel that kills
+# the interpreter fails the test instead of the run.
+NON_FINITE_CALLS = (
+    "zeta.riemann_zeta(complex(nan, 0))",
+    "zeta.riemann_zeta(inf)",
+    "zeta.hurwitz_zeta(3, inf)",
+    "zeta.hurwitz_zeta(nan, 2)",
+    "specfun.gamma(nan)",
+    "specfun.log_gamma(inf)",
+    "contour.integrand_eval(contour.gamma_power(3, 0.5), complex(nan, 0))",
+    "contour.integrand_eval(contour.zeta_zeta_gamma(4), complex(inf, 0))",
+    "residues.numerical_residue(contour.gamma_power(3, 0.5), 0.0, radius=nan)",
+    "residues.numerical_residue(contour.gamma_power(3, 0.5), complex(0, inf))",
+    "contour.VerticalLineSpec(1.5, nan).validate_for(contour.zeta_zeta_gamma(4))",
+    "contour.VerticalLineSpec(1.2, inf).validate_for(contour.gamma_power(3, .5))",
+    "contour.integrate_real_improper(nan)",
+)
+_PROBE = """
+import json, math, sys, time
+from mbzeta import contour, residues, specfun, zeta
+nan, inf, out = math.nan, math.inf, {}
+for call in json.loads(sys.argv[1]):
+    t0, kind = time.perf_counter(), "returned"
+    try:
+        eval(call)
+    except Exception as exc:
+        kind = type(exc).__name__
+    out[call] = [kind, time.perf_counter() - t0]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module", params=("python", "compiled"))
+def non_finite_outcomes(request):
+    """{call: [exception name, seconds]} from one subprocess on the backend."""
+    backend = request.param
+    root = (SRC_ROOT if backend == "python"
+            else request.getfixturevalue("compiled_package"))
+    out = _run_python(root, backend, "-c", _PROBE, json.dumps(NON_FINITE_CALLS))
+    assert out.returncode == 0, (out.returncode, out.stderr[-2000:])
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_non_finite_input_raises_domain_violation(call, non_finite_outcomes):
+    kind, seconds = non_finite_outcomes[call]
+    assert kind == "DomainViolation"
+    assert seconds < 1.0

@@ -228,6 +228,17 @@ def test_unknown_flag_exits_two(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "zeta", "--s", "2"],
+    ["integrate", "--family", "zetazeta", "--s", "4", "--c", "1.5"],
+    ["rect", "--family", "zetazeta", "--s", "4", "--right", "1.5",
+     "--left", "0.5", "--T", "10"],
+])
+def test_csv_rejected_where_not_implemented(argv, capsys):
+    assert main([*argv, "--format", "csv"]) == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
 def test_domain_error_exits_one(capsys):
     assert main(["eval", "zeta", "--s", "1,0"]) == 1
     err = capsys.readouterr().err

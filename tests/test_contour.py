@@ -222,6 +222,16 @@ def test_rectangle_edge_through_pole():
         integrate_rectangle(f, RectangleSpec(1.0, 2.0, 10.0))
 
 
+def test_pole_guard_wider_than_two():
+    # the pole at 0 lies 3.0 to 3.16 from the segment Re z = 3, |Im z| <= 1
+    f = gamma_power(5.0, 0.5)
+    with pytest.raises(PoleOnPath):
+        integrate_segment(f, 3 - 1j, 3 + 1j, 1e-8, pole_guard=3.5)
+    with pytest.raises(PoleOnPath):
+        integrate_rectangle(f, RectangleSpec(4.0, 1.0, 1.0), 1e-8, pole_guard=3.5)
+    integrate_segment(f, 3 - 1j, 3 + 1j, 1e-8, pole_guard=2.9)
+
+
 def test_budget_exhaustion_carries_partial_state():
     f = zeta_zeta_gamma(4.0)
     with pytest.raises(ToleranceUnreachable) as info:
