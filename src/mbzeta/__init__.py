@@ -5,8 +5,8 @@ vertical-line and rectangle contour integrals of three kernel families,
 matches them against closed forms and residue sums, and bundles the whole
 battery behind a verification suite and a CLI.
 
-Numerical kernels live in a compiled extension when available, with a
-pure-Python twin selected automatically (override with MBZETA_BACKEND).
+Numerical kernels live in a compiled extension when it is importable, and
+in a pure-Python twin otherwise.
 """
 from ._backend import BACKEND
 from ._version import __version__

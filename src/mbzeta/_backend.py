@@ -1,25 +1,8 @@
-"""Kernel backend selection, fixed at import time.
-
-MBZETA_BACKEND=auto      compiled if importable, else pure Python (default)
-MBZETA_BACKEND=compiled  require the compiled core
-MBZETA_BACKEND=python    force the pure-Python twin
-"""
-import os
-
-_choice = os.environ.get("MBZETA_BACKEND", "auto").strip().lower()
-if _choice not in {"auto", "compiled", "python"}:
-    raise ImportError(
-        f"MBZETA_BACKEND must be one of auto|compiled|python, got {_choice!r}")
-
-if _choice == "python":
+"""Kernel backend, fixed at import time: the compiled core if it is
+importable, else the pure-Python twin."""
+try:
+    from . import _core as kernels
+except ImportError:
     from . import _purepy as kernels
-else:
-    try:
-        from . import _core as kernels
-    except ImportError:
-        if _choice == "compiled":
-            raise ImportError(
-                "MBZETA_BACKEND=compiled but the compiled core is not importable")
-        from . import _purepy as kernels
 
 BACKEND = kernels.BACKEND_NAME

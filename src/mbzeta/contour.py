@@ -5,8 +5,10 @@
     zeta_gamma_power  zeta(z) Gamma(z) Gamma(s-z) (a-1)^{z-s}
 
 supported along vertical lines (with an analytic truncation bound), straight
-segments, axis-aligned rectangles, and the positive real axis. All poles of
-every family lie on the real axis, which the pole-guard logic relies on.
+segments, axis-aligned rectangles, and the positive real axis. The left poles
+(of Gamma(z) and zeta(z)) lie on the real axis, the right ones (of Gamma(s-z)
+and zeta(s-z)) at s + n; IntegrandFamily lists both fields, and every point,
+path and circle guard asks it.
 
 Quadrature is adaptive bisection on an embedded 15-point Kronrod / 7-point
 Gauss pair; panels are accepted when the local estimate is below
@@ -21,7 +23,7 @@ from ._backend import kernels
 from ._kernel_constants import (BERNOULLI_FRACTIONS, GAUSS_WEIGHTS, GK_NODES,
                                 GK_WEIGHTS)
 from .errors import (DomainViolation, PoleOnPath, PoleProximity,
-                     ToleranceUnreachable, require_finite)
+                     ToleranceUnreachable, require_finite, require_tol)
 from .specfun import POLE_GUARD
 from .zeta import DEFAULT_CONFIG
 
@@ -87,35 +89,56 @@ class IntegrandFamily:
         return 0.0
 
     def is_pole(self, n):
-        """Whether the integer n is a pole of this family."""
-        if n != int(n):
-            return False
-        n = int(n)
-        if self.tag == GAMMA_POWER:
-            return n <= 0
-        if n == 1 or n == 0:
-            return True
-        return n < 0 and n % 2 != 0  # even negatives killed by trivial zeros
+        """Whether the integer n is a pole of the left field."""
+        return n == int(n) and bool(self.poles(n, n))
 
     def poles(self, lo, hi):
-        """The poles n with lo <= n <= hi, ascending.
+        """The left poles n with lo <= n <= hi, ascending: those of Gamma(z),
+        and of zeta(z) for the zeta families. The residue sums cover these.
 
-        The pole field ends at 0 for gamma_power and at 1 for the zeta
-        families, so hi may be arbitrarily large.
+        The field ends at 0 for gamma_power and at 1 for the zeta families,
+        so hi may be arbitrarily large.
         """
-        top = 0 if self.tag == GAMMA_POWER else 1
-        return [n for n in range(math.ceil(lo), min(math.floor(hi), top) + 1)
-                if self.is_pole(n)]
+        return _field(self.tag != GAMMA_POWER, lo, hi)
+
+    def right_poles(self, lo, hi):
+        """The right poles with lo <= Re <= hi, ascending, as complex points:
+        s + n for n >= 0 from Gamma(s-z) and, for zeta_zeta_gamma, s - 1 from
+        zeta(s-z), whose trivial zeros cancel s + n for even n >= 2."""
+        # z -> s - z maps them onto the left field of Gamma or zeta Gamma
+        sr = self.s.real
+        return [self.s - n for n in
+                reversed(_field(self.tag == ZETA_ZETA_GAMMA, sr - hi, sr - lo))]
+
+    def all_poles(self, lo, hi):
+        """The poles of both fields with lo <= Re <= hi, as complex points."""
+        return [complex(n) for n in self.poles(lo, hi)] + self.right_poles(lo, hi)
 
     def nearest_pole(self, z):
-        """Closest pole to z, the lower one on ties."""
+        """Closest pole of either field to z."""
         z = complex(z)
-        # left of Re z = -1/2 the window round(Re z) +- 2 holds the nearest
-        # pole, as consecutive poles are at most 2 apart; right of it the
-        # window holds every pole >= -2, up to where the field ends
-        n = round(z.real)
-        near = self.poles(min(n, 0) - 2, n + 2)
-        return complex(min(near, key=lambda p: abs(z - p)))
+        left = _nearest(self.tag != GAMMA_POWER, z)
+        right = self.s - _nearest(self.tag == ZETA_ZETA_GAMMA, self.s - z)
+        return left if abs(z - left) <= abs(z - right) else right
+
+
+def _field(with_zeta, lo, hi):
+    """The integers n in [lo, hi] at which Gamma(w), or zeta(w) Gamma(w) if
+    with_zeta, has a pole w = n: every n <= 0 for Gamma alone; 1, 0 and the
+    negative odd n with zeta, whose trivial zeros cancel the negative even."""
+    top = 1 if with_zeta else 0
+    return [n for n in range(math.ceil(lo), min(math.floor(hi), top) + 1)
+            if not with_zeta or n >= 0 or n % 2]
+
+
+def _nearest(with_zeta, w):
+    """The member of _field(with_zeta, ...) closest to w, the lower on ties."""
+    # left of Re w = -1/2 the window round(Re w) +- 2 holds the nearest
+    # member, as consecutive members are at most 2 apart; right of it the
+    # window holds every member >= -2, up to where the field ends
+    n = round(w.real)
+    near = _field(with_zeta, min(n, 0) - 2, n + 2)
+    return complex(min(near, key=lambda p: abs(w - p)))
 
 
 def gamma_power(s, u):
@@ -137,8 +160,7 @@ class VerticalLineSpec:
     tol: float = 1e-8
 
     def validate_for(self, family):
-        if not 0.0 < self.tol < math.inf:
-            raise DomainViolation(f"tol must be positive and finite, got {self.tol}")
+        require_tol(self.tol)
         sigma = family.s.real
         if family.tag == GAMMA_POWER:
             if not (self.c >= 0.5 and sigma - self.c >= 0.5):
@@ -184,25 +206,27 @@ class QuadratureResult:
         return self.err_estimate + self.tail_bound
 
 
-def integrand_eval(f, z, cfg=DEFAULT_CONFIG):
+def integrand_eval(f, z):
     """Point evaluation of the family integrand, pole-guarded."""
     z = complex(z)
     require_finite(z=z)
     pole = f.nearest_pole(z)
     if abs(z - pole) <= POLE_GUARD:
         raise PoleProximity(z, pole)
-    return _bound_integrand(f, cfg)(z)
+    return _bound_integrand(f)(z)
 
 
-def _bound_integrand(f, cfg):
-    """The kernel integrand of family f at cfg's term arguments, z -> value.
+def _bound_integrand(f):
+    """The kernel integrand of family f at DEFAULT_CONFIG's term arguments,
+    z -> value.
 
     No pole guard: the quadrature loops check their paths once up front.
     """
-    em_min, em_per_im = cfg._term_args()
+    em_min, em_per_im = DEFAULT_CONFIG._term_args()
     tag = _KERNEL_TAG[f.tag]
     s, p = f.s, f.param
-    order, reflect_below = cfg.correction_order, cfg.reflect_below
+    order = DEFAULT_CONFIG.correction_order
+    reflect_below = DEFAULT_CONFIG.reflect_below
     kern = kernels.integrand
 
     def fn(z):
@@ -286,10 +310,10 @@ def _adaptive_segment(f, z0, z1, tol_abs, max_evaluations):
 def _segment_pole_distance(f, z0, z1, reach=2.0):
     """Min distance from the family's poles to segment [z0, z1]; exact when
     it is at most reach, and otherwise only known to exceed reach."""
-    lo = math.floor(min(z0.real, z1.real) - reach)
+    lo = min(z0.real, z1.real) - reach
     hi = max(z0.real, z1.real) + reach
-    return min((_point_segment_distance(complex(n), z0, z1)
-                for n in f.poles(lo, hi)), default=math.inf)
+    return min((_point_segment_distance(p, z0, z1)
+                for p in f.all_poles(lo, hi)), default=math.inf)
 
 
 def _point_segment_distance(p, z0, z1):
@@ -302,15 +326,16 @@ def _point_segment_distance(p, z0, z1):
     return abs(p - (z0 + t * d))
 
 
-def integrate_segment(f, z0, z1, tol=1e-10, cfg=DEFAULT_CONFIG,
+def integrate_segment(f, z0, z1, tol=1e-10,
                       max_evaluations=DEFAULT_MAX_EVALUATIONS,
                       pole_guard=POLE_GUARD):
     """Oriented straight-line integral of the integrand, normalized by 1/(2*pi*i)."""
     z0 = complex(z0)
     z1 = complex(z1)
+    require_tol(tol)
     if _segment_pole_distance(f, z0, z1, pole_guard) <= pole_guard:
         raise PoleOnPath(f"segment [{z0}, {z1}] passes within {pole_guard} of a pole")
-    raw, err, n = _adaptive_segment(_bound_integrand(f, cfg), z0, z1,
+    raw, err, n = _adaptive_segment(_bound_integrand(f), z0, z1,
                                     tol * TWO_PI, max_evaluations)
     return QuadratureResult(raw / (2j * math.pi), err / TWO_PI, 0.0, n)
 
@@ -347,7 +372,7 @@ def _line_extra_const(f, x0):
     return z_left * (f.a - 1.0) ** (x0 - f.s.real)
 
 
-def _integrate_vertical_unchecked(f, x0, tol, cfg=DEFAULT_CONFIG,
+def _integrate_vertical_unchecked(f, x0, tol,
                                   max_evaluations=DEFAULT_MAX_EVALUATIONS):
     # Core of integrate_vertical without the convergence-strip validation.
     # _line_extra_const must bound the non-Gamma factors at x0, which holds
@@ -360,15 +385,14 @@ def _integrate_vertical_unchecked(f, x0, tol, cfg=DEFAULT_CONFIG,
         if T > 500.0:
             raise ToleranceUnreachable(
                 f"tail bound will not reach {tol} at practical heights")
-    raw, err, n = _adaptive_segment(_bound_integrand(f, cfg), complex(x0, -T),
+    raw, err, n = _adaptive_segment(_bound_integrand(f), complex(x0, -T),
                                     complex(x0, T), 0.5 * tol * TWO_PI,
                                     max_evaluations)
     return QuadratureResult(raw / (2j * math.pi), err / TWO_PI,
                             _pair_tail_bound(x0, f.s, T, extra), n)
 
 
-def integrate_vertical(f, line, cfg=DEFAULT_CONFIG,
-                       max_evaluations=DEFAULT_MAX_EVALUATIONS):
+def integrate_vertical(f, line, max_evaluations=DEFAULT_MAX_EVALUATIONS):
     """(1/2*pi*i) integral over the full vertical line Re z = line.c.
 
     The line is truncated at the smallest height T (stepped by 2 from
@@ -376,22 +400,22 @@ def integrate_vertical(f, line, cfg=DEFAULT_CONFIG,
     the finite part is integrated adaptively to err_estimate <= tol/2.
     """
     line.validate_for(f)
-    return _integrate_vertical_unchecked(f, line.c, line.tol, cfg,
-                                         max_evaluations)
+    return _integrate_vertical_unchecked(f, line.c, line.tol, max_evaluations)
 
 
-def integrate_rectangle(f, rect, tol=1e-9, cfg=DEFAULT_CONFIG,
+def integrate_rectangle(f, rect, tol=1e-9,
                         max_evaluations=DEFAULT_MAX_EVALUATIONS,
                         pole_guard=POLE_GUARD):
     """Counterclockwise boundary integral, normalized by 1/(2*pi*i); equals the
     sum of residues strictly inside by the residue theorem."""
+    require_tol(tol)
     c1, c2, c3, c4 = rect.corners()
     edges = ((c1, c2), (c2, c3), (c3, c4), (c4, c1))
     for a, b in edges:
         if _segment_pole_distance(f, a, b, pole_guard) <= pole_guard:
             raise PoleOnPath(
                 f"rectangle edge [{a}, {b}] passes within {pole_guard} of a pole")
-    fn = _bound_integrand(f, cfg)
+    fn = _bound_integrand(f)
     budget = max_evaluations
     value = 0j
     err = 0.0
@@ -421,7 +445,7 @@ def _axis_coefficients():
 _AXIS_SERIES = _axis_coefficients()
 
 
-def integrate_real_improper(s, tol=1e-10, cfg=DEFAULT_CONFIG,
+def integrate_real_improper(s, tol=1e-10,
                             max_evaluations=DEFAULT_MAX_EVALUATIONS):
     """integral_0^inf t^{s-1} / (e^t - 1)^2 dt for Re(s) > 2.
 
@@ -434,6 +458,7 @@ def integrate_real_improper(s, tol=1e-10, cfg=DEFAULT_CONFIG,
     require_finite(s=s)
     if s.real <= 2.0:
         raise DomainViolation(f"integrate_real_improper needs Re(s) > 2, got {s}")
+    require_tol(tol)
     eps = 1e-3
     head = (eps ** (s - 2.0) / (s - 2.0) - eps ** (s - 1.0) / (s - 1.0)
             + (5.0 / 12.0) * eps ** s / s)

@@ -1,6 +1,7 @@
 """Error taxonomy. Every numerical failure mode is a named exception so the
 CLI can print the error name and offending parameters."""
 import cmath
+import math
 
 
 class MBZetaError(Exception):
@@ -35,6 +36,26 @@ def require_finite(**values):
     for name, value in values.items():
         if not cmath.isfinite(value):
             raise DomainViolation(f"{name} must be finite, got {value!r}")
+
+
+def require_tol(tol):
+    """Raise DomainViolation unless the quadrature target tol is positive and
+    finite; any other value would spend the whole evaluation budget."""
+    if not 0.0 < tol < math.inf:
+        raise DomainViolation(f"tol must be positive and finite, got {tol}")
+
+
+def overflow_checked(kernel, *args):
+    """kernel(*args) from finite args, with binary64 overflow (an
+    OverflowError, or an infinite or NaN value) raised as OverflowRegime."""
+    try:
+        value = kernel(*args)
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise OverflowRegime(f"{kernel.__name__} overflows binary64 at "
+                             + ", ".join(map(str, args)))
+    return value
 
 
 class ToleranceUnreachable(MBZetaError):

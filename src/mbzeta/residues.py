@@ -2,11 +2,13 @@
 a small-circle numerical residue oracle, and the asymptotic tail study that
 witnesses the divergence of the infinite residue series.
 
-Pole structure on the real axis:
+Left pole field, on the real axis:
     gamma_power       simple poles at 0, -1, -2, ... (Gamma factor)
     zeta families     zeta pole at 1, Gamma pole at 0, and combined poles at
                       negative odd integers; negative even integers are
                       regular because the trivial zeta zeros cancel them.
+The residues here cover this field only; the right field of Gamma(s-z) and
+zeta(s-z) is guarded against but never enumerated.
 """
 import cmath
 import math
@@ -16,7 +18,8 @@ from ._backend import kernels
 from .contour import (GAMMA_POWER, ZETA_GAMMA_POWER, ZETA_ZETA_GAMMA,
                       _bound_integrand)
 from .errors import (DomainViolation, NotAPole, OverflowRegime, PoleOnBoundary,
-                     PoleOnCircle, ToleranceUnreachable, require_finite)
+                     PoleOnCircle, ToleranceUnreachable, require_finite,
+                     require_tol)
 from .specfun import POLE_GUARD
 from .zeta import DEFAULT_CONFIG, _bound_zeta, zeta_negative_integer
 
@@ -75,8 +78,17 @@ def classify_pole(f, position):
 
 
 def enumerate_poles(f, rect):
-    """Poles strictly inside the rectangle, ascending by position."""
+    """Left-field poles strictly inside the rectangle, ascending by position.
+
+    A rectangle that reaches a right-field pole raises DomainViolation, as
+    its residue sum would miss that pole.
+    """
     right, left = rect.c, rect.left
+    for p in f.right_poles(left - POLE_GUARD, right + POLE_GUARD):
+        if abs(p.imag) <= rect.T + POLE_GUARD:
+            raise DomainViolation(
+                f"rectangle reaches the right-field pole at {p}; residue sums "
+                f"cover the left field only")
     for edge in (right, left):
         n = round(edge)
         if f.is_pole(n) and abs(edge - n) <= POLE_GUARD:
@@ -93,7 +105,7 @@ def _gamma_value(w):
     return cmath.exp(kernels.loggamma(w))
 
 
-def residue_at(f, p, cfg=DEFAULT_CONFIG):
+def residue_at(f, p):
     """Closed-form residue of the family integrand at the pole p.
 
     p may be a PoleLocation or a bare integer position.
@@ -104,7 +116,7 @@ def residue_at(f, p, cfg=DEFAULT_CONFIG):
         raise NotAPole(f"{p} is not a pole of {f.tag}")
     s = f.s
     n = p.position
-    zeta = _bound_zeta(cfg)
+    zeta = _bound_zeta(DEFAULT_CONFIG)
     if f.tag == GAMMA_POWER:
         m = -n
         value = (((-1) ** m) / math.factorial(m)) * _gamma_value(s + m) * f.u ** m
@@ -125,8 +137,7 @@ def residue_at(f, p, cfg=DEFAULT_CONFIG):
     return ResidueTerm(p, value)
 
 
-def numerical_residue(f, z0, radius=0.3, tol=1e-10, cfg=DEFAULT_CONFIG,
-                      pole_guard=POLE_GUARD):
+def numerical_residue(f, z0, radius=0.3, tol=1e-10):
     """(1/2*pi*i) integral over the counterclockwise circle |z - z0| = radius.
 
     Independent oracle for residue_at: trapezoid sums on the circle converge
@@ -138,18 +149,18 @@ def numerical_residue(f, z0, radius=0.3, tol=1e-10, cfg=DEFAULT_CONFIG,
     require_finite(z0=z0, radius=radius)
     if radius <= 0.0:
         raise DomainViolation("radius must be positive")
+    require_tol(tol)
     enclosed = []
-    for n in f.poles(math.floor(z0.real - radius) - 1,
-                     math.ceil(z0.real + radius) + 1):
-        d = abs(z0 - n)
-        if abs(d - radius) <= pole_guard:
-            raise PoleOnCircle(f"pole at {n} within {pole_guard} of the circle")
+    for p in f.all_poles(z0.real - radius - 1, z0.real + radius + 1):
+        d = abs(z0 - p)
+        if abs(d - radius) <= POLE_GUARD:
+            raise PoleOnCircle(f"pole at {p} within {POLE_GUARD} of the circle")
         if d < radius:
-            enclosed.append(n)
+            enclosed.append(p)
     # the disk may contain at most the candidate pole at/near z0 itself
     if len(enclosed) > 1:
         raise PoleOnCircle(f"disk around {z0} encloses multiple poles {enclosed}")
-    fn = _bound_integrand(f, cfg)
+    fn = _bound_integrand(f)
     n_pts = 16
     prev = None
     evals = 0
@@ -169,7 +180,7 @@ def numerical_residue(f, z0, radius=0.3, tol=1e-10, cfg=DEFAULT_CONFIG,
         evaluations=evals)
 
 
-def asymptotic_tail_terms(s, M=20, cfg=DEFAULT_CONFIG):
+def asymptotic_tail_terms(s, M=20):
     """Terms t_m = zeta(-2m-1) zeta(s+2m+1) Gamma(s+2m+1) / (2m+1)!, m = 0..M.
 
     |t_m| eventually grows without bound; the study reports where the minimum
@@ -182,7 +193,7 @@ def asymptotic_tail_terms(s, M=20, cfg=DEFAULT_CONFIG):
         raise DomainViolation(f"M must be within 0..30, got {M}")
     if s.real + 2 * M + 1 > 170.0:
         raise OverflowRegime(f"Gamma(s + {2 * M + 1}) overflows binary64")
-    zeta = _bound_zeta(cfg)
+    zeta = _bound_zeta(DEFAULT_CONFIG)
     terms = []
     for m in range(M + 1):
         w = s + (2 * m + 1)

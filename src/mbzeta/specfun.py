@@ -11,7 +11,7 @@ from fractions import Fraction
 from ._backend import kernels
 from ._kernel_constants import BERNOULLI_FRACTIONS, BERNOULLI_MAX_INDEX
 from .errors import (IndexBeyondTable, PoleProximity, SectorViolation,
-                     require_finite)
+                     overflow_checked, require_finite)
 
 __all__ = [
     "POLE_GUARD", "BERNOULLI_MAX_INDEX", "log_gamma", "gamma",
@@ -29,13 +29,12 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 def nearest_gamma_pole(z):
     """The nonpositive integer closest to z (Gamma's only poles)."""
     z = complex(z)
-    n = min(0, round(z.real))
-    return complex(n)
+    require_finite(z=z)
+    return complex(min(0, round(z.real)))
 
 
 def _guard(z):
     z = complex(z)
-    require_finite(z=z)
     pole = nearest_gamma_pole(z)
     if abs(z - pole) <= POLE_GUARD:
         raise PoleProximity(z, pole)
@@ -44,11 +43,11 @@ def _guard(z):
 
 def log_gamma(z):
     """log Gamma on the continuous lift that is real for real z > 0."""
-    return kernels.loggamma(_guard(z))
+    return overflow_checked(kernels.loggamma, _guard(z))
 
 
 def gamma(z):
-    return kernels.gamma(_guard(z))
+    return overflow_checked(kernels.gamma, _guard(z))
 
 
 def stirling_main_term(z, sector_delta=0.01):
@@ -94,7 +93,6 @@ def bernoulli_table():
 
 def beta(x, y):
     """Euler Beta via the log-Gamma lift: exp(lg(x) + lg(y) - lg(x+y))."""
-    x = _guard(x)
-    y = _guard(y)
-    s = _guard(x + y)
-    return cmath.exp(kernels.loggamma(x) + kernels.loggamma(y) - kernels.loggamma(s))
+    x, y = complex(x), complex(y)
+    return overflow_checked(cmath.exp,
+                            log_gamma(x) + log_gamma(y) - log_gamma(x + y))

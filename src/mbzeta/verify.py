@@ -24,8 +24,7 @@ from .errors import (ConfigError, DomainViolation, MBZetaError,
                      UnknownCaseKind)
 from .residues import asymptotic_tail_terms, enumerate_poles, residue_at
 from .specfun import POLE_GUARD
-from .zeta import (DEFAULT_CONFIG, double_sum_oracle, hurwitz_zeta,
-                   riemann_zeta)
+from .zeta import double_sum_oracle, hurwitz_zeta, riemann_zeta
 
 __all__ = [
     "IDENTITY_KINDS", "IdentityCase", "CheckEntry", "DecayStudy",
@@ -103,9 +102,9 @@ def _power_closed_form(s, u):
     return cmath.exp(kernels.loggamma(s)) * (1.0 + u) ** (-s)
 
 
-def _zeta_pair_closed_form(s, cfg):
+def _zeta_pair_closed_form(s):
     g = cmath.exp(kernels.loggamma(s))
-    return g * (riemann_zeta(s - 1.0, cfg) - riemann_zeta(s, cfg))
+    return g * (riemann_zeta(s - 1.0) - riemann_zeta(s))
 
 
 def _binomial_partial(s, u, n_terms):
@@ -133,8 +132,7 @@ def _coth_partial(x, n_terms):
     return total
 
 
-def check_identity(case, cfg=DEFAULT_CONFIG,
-                   max_evaluations=DEFAULT_MAX_EVALUATIONS):
+def check_identity(case, max_evaluations=DEFAULT_MAX_EVALUATIONS):
     """Evaluate both sides of the identity named by case.kind and compare.
 
     params by kind:
@@ -153,7 +151,7 @@ def check_identity(case, cfg=DEFAULT_CONFIG,
     if kind == "mb_power":
         s, u = complex(p["s"]), float(p["u"])
         line = VerticalLineSpec(float(p["c"]), qt)
-        lhs = integrate_vertical(gamma_power(s, u), line, cfg,
+        lhs = integrate_vertical(gamma_power(s, u), line,
                                  max_evaluations).value
         rhs = _power_closed_form(s, u)
     elif kind == "binomial_series":
@@ -168,28 +166,28 @@ def check_identity(case, cfg=DEFAULT_CONFIG,
         lo, hi = min(a, b), max(a, b)
         line = VerticalLineSpec(float(p["c"]), qt)
         lhs = (hi ** (-s)) * integrate_vertical(gamma_power(s, lo / hi), line,
-                                                cfg, max_evaluations).value
+                                                max_evaluations).value
         rhs = cmath.exp(kernels.loggamma(s)) * (a + b) ** (-s)
     elif kind == "double_sum":
         s = complex(p["s"])
         line = VerticalLineSpec(float(p.get("c", 1.5)), qt)
-        lhs = integrate_vertical(zeta_zeta_gamma(s), line, cfg,
+        lhs = integrate_vertical(zeta_zeta_gamma(s), line,
                                  max_evaluations).value
         if case.method == "oracle":
             rhs = cmath.exp(kernels.loggamma(s)) * double_sum_oracle(
                 s, min(qt, 1e-12))
         else:
-            rhs = _zeta_pair_closed_form(s, cfg)
+            rhs = _zeta_pair_closed_form(s)
     elif kind == "hurwitz_kernel":
         s, a = complex(p["s"]), float(p["a"])
         line = VerticalLineSpec(float(p.get("c", 1.5)), qt)
-        lhs = integrate_vertical(zeta_gamma_power(s, a), line, cfg,
+        lhs = integrate_vertical(zeta_gamma_power(s, a), line,
                                  max_evaluations).value
-        rhs = cmath.exp(kernels.loggamma(s)) * hurwitz_zeta(s, a, cfg)
+        rhs = cmath.exp(kernels.loggamma(s)) * hurwitz_zeta(s, a)
     elif kind == "app_integral":
         s = complex(p["s"])
-        lhs = integrate_real_improper(s, qt, cfg, max_evaluations).value
-        rhs = _zeta_pair_closed_form(s, cfg)
+        lhs = integrate_real_improper(s, qt, max_evaluations).value
+        rhs = _zeta_pair_closed_form(s)
     elif kind == "coth_expansion":
         x = float(p["x"])
         lhs = _coth_partial(x, int(p["n_terms"]))
@@ -199,16 +197,16 @@ def check_identity(case, cfg=DEFAULT_CONFIG,
     return _entry(case.id, lhs, rhs, case.tolerance)
 
 
-def check_rectangle(f, rect, tol=1e-6, cfg=DEFAULT_CONFIG,
+def check_rectangle(f, rect, tol=1e-6,
                     max_evaluations=DEFAULT_MAX_EVALUATIONS,
                     pole_guard=POLE_GUARD, entry_id=None):
     """Compare the rectangle boundary integral against the enclosed residue sum."""
     if entry_id is None:
         entry_id = (f"rectangle[{f.tag},right={rect.c:g},left={rect.left:g},"
                     f"T={rect.T:g}]")
-    lhs = integrate_rectangle(f, rect, _quad_tol(tol), cfg, max_evaluations,
+    lhs = integrate_rectangle(f, rect, _quad_tol(tol), max_evaluations,
                               pole_guard).value
-    rhs = sum((residue_at(f, p, cfg).value for p in enumerate_poles(f, rect)),
+    rhs = sum((residue_at(f, p).value for p in enumerate_poles(f, rect)),
               start=0j)
     return _entry(entry_id, lhs, rhs, tol)
 
@@ -240,7 +238,7 @@ class DecayStudy:
 
 
 def decay_study(kind, f, c, values, left=None, threshold=1e-6,
-                cfg=DEFAULT_CONFIG, max_evaluations=DEFAULT_MAX_EVALUATIONS):
+                max_evaluations=DEFAULT_MAX_EVALUATIONS):
     """Magnitude table for the two decay mechanisms behind contour shifting.
 
     vertical_shift: |full line integral| at abscissas c - k for k in values
@@ -264,14 +262,13 @@ def decay_study(kind, f, c, values, left=None, threshold=1e-6,
         for k in values:
             if k <= 0.0:
                 raise DomainViolation("shifts must be positive")
-            r = _integrate_vertical_unchecked(f, c - k, qt, cfg,
-                                              max_evaluations)
+            r = _integrate_vertical_unchecked(f, c - k, qt, max_evaluations)
             mags.append(abs(r.value))
     else:
         if left is None or not left < c:
             raise DomainViolation("horizontal study needs left < c")
         for T in values:
-            r = integrate_segment(f, complex(c, T), complex(left, T), qt, cfg,
+            r = integrate_segment(f, complex(c, T), complex(left, T), qt,
                                   max_evaluations)
             mags.append(abs(r.value))
     mags = tuple(mags)
@@ -310,15 +307,15 @@ class EnvelopeFit:
         return _entry(entry_id, complex(self.violations), 0j, 0.5)
 
 
-def _envelope_ratio(bound_kind, cfg):
+def _envelope_ratio(bound_kind):
     if bound_kind == "gamma_exp":
         return lambda sig, t: (math.exp(kernels.loggamma(complex(sig, t)).real)
                                / math.exp(-abs(t)))
     if bound_kind == "zeta_left":
-        return lambda sig, t: (abs(riemann_zeta(complex(sig, t), cfg))
+        return lambda sig, t: (abs(riemann_zeta(complex(sig, t)))
                                / abs(t) ** (0.5 - sig))
     if bound_kind == "zeta_strip":
-        return lambda sig, t: (abs(riemann_zeta(complex(sig, t), cfg))
+        return lambda sig, t: (abs(riemann_zeta(complex(sig, t)))
                                / abs(t) ** 0.75)
     raise DomainViolation(f"unknown envelope kind {bound_kind!r}")
 
@@ -330,8 +327,7 @@ def _grid(lo, hi, n):
     return [lo + i * step for i in range(n)]
 
 
-def fit_envelope(bound_kind, fit_range, test_range, grid=(20, 20),
-                 cfg=DEFAULT_CONFIG):
+def fit_envelope(bound_kind, fit_range, test_range, grid=(20, 20)):
     """Fit C = max |f| / envelope over the fit |t| range, then count test-range
     grid points exceeding it.
 
@@ -348,7 +344,7 @@ def fit_envelope(bound_kind, fit_range, test_range, grid=(20, 20),
             raise DomainViolation(f"range must satisfy 0 < lo < hi, got {lo, hi}")
     if test_range[0] < fit_range[1]:
         raise DomainViolation("test range must sit above the fit range")
-    ratio = _envelope_ratio(bound_kind, cfg)
+    ratio = _envelope_ratio(bound_kind)
     sig_lo, sig_hi = _ENVELOPE_SIGMA[bound_kind]
     n_sig, n_t = int(grid[0]), int(grid[1])
     sigmas = _grid(sig_lo, sig_hi, n_sig)
@@ -618,29 +614,27 @@ def _run_case(case, index, ctx):
             params["s"] = _as_complex(params["s"], "s")
         ic = IdentityCase(cid, kind, params, tol,
                           case.get("method", "closed_form"))
-        return [check_identity(ic, ctx["cfg"], ctx["max_evaluations"])]
+        return [check_identity(ic, ctx["max_evaluations"])]
     if kind == "rectangle":
         f = _family_from_case(case)
         right, left = float(case["right"]), float(case["left"])
         rect = RectangleSpec(right, right - left, float(case["T"]))
-        return [check_rectangle(f, rect, tol, ctx["cfg"],
-                                ctx["max_evaluations"], ctx["pole_guard"],
-                                entry_id=case.get("id"))]
+        return [check_rectangle(f, rect, tol, ctx["max_evaluations"],
+                                ctx["pole_guard"], entry_id=case.get("id"))]
     if kind == "decay":
         f = _family_from_case(case)
         study = decay_study(case["study"], f, float(case["c"]),
                             case["values"], left=case.get("left"),
-                            threshold=tol, cfg=ctx["cfg"],
+                            threshold=tol,
                             max_evaluations=ctx["max_evaluations"])
         return study.entries(case.get("id"))
     if kind == "envelope":
         ranges = ctx["envelope_ranges"][case["bound"]]
-        fit = fit_envelope(case["bound"], ranges["fit"], ranges["test"],
-                           cfg=ctx["cfg"])
+        fit = fit_envelope(case["bound"], ranges["fit"], ranges["test"])
         return [fit.entry(case.get("id"))]
     # tail_study: strict-growth violations for m >= 2 witness divergence
     study = asymptotic_tail_terms(_as_complex(case["s"], "s"),
-                                  int(case.get("M", 20)), ctx["cfg"])
+                                  int(case.get("M", 20)))
     mags = [abs(t) for t in study.terms]
     violations = sum(1 for i in range(2, len(mags) - 1)
                      if not mags[i + 1] > mags[i])
@@ -648,7 +642,7 @@ def _run_case(case, index, ctx):
                    complex(violations), 0j, tol)]
 
 
-def run_suite(config=None, cfg=DEFAULT_CONFIG):
+def run_suite(config=None):
     """Run a battery of checks and assemble the deterministic report.
 
     Malformed configuration raises ConfigError before any case runs; errors
@@ -661,7 +655,6 @@ def run_suite(config=None, cfg=DEFAULT_CONFIG):
         "envelope_ranges": resolved["envelope_ranges"],
         "pole_guard": resolved["quadrature"]["pole_guard"],
         "max_evaluations": resolved["quadrature"]["max_evaluations"],
-        "cfg": cfg,
     }
     entries = []
     for i, case in enumerate(resolved["cases"]):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from ._backend import kernels
 from ._kernel_constants import BERNOULLI_FRACTIONS, BERNOULLI_MAX_INDEX, EM_COEFFS
 from .errors import (DomainViolation, IndexBeyondTable, OverflowRegime,
-                     PoleProximity, require_finite)
+                     PoleProximity, overflow_checked, require_finite)
 from .specfun import POLE_GUARD
 
 __all__ = [
@@ -29,7 +29,7 @@ _IM_MAX_REFLECT = 400.0
 
 @dataclass(frozen=True)
 class ZetaEvalConfig:
-    """Evaluation knobs.
+    """Evaluation knobs of riemann_zeta; all other paths use DEFAULT_CONFIG.
 
     em_terms: directly summed Dirichlet terms; None means the adaptive
         default max(20, ceil(2|Im s|)).
@@ -68,7 +68,7 @@ def riemann_zeta(s, cfg=DEFAULT_CONFIG):
     t = abs(s.imag)
     if t > _IM_MAX_DIRECT or (s.real < cfg.reflect_below and t > _IM_MAX_REFLECT):
         raise OverflowRegime(f"|Im s| = {t} outside the validity window")
-    return _bound_zeta(cfg)(s)
+    return overflow_checked(_bound_zeta(cfg), s)
 
 
 def _bound_zeta(cfg):
@@ -86,7 +86,7 @@ def _bound_zeta(cfg):
     return zeta
 
 
-def hurwitz_zeta(s, a, cfg=DEFAULT_CONFIG):
+def hurwitz_zeta(s, a):
     """sum_{n>=0} (n+a)^{-s}, convergent region only (Re s > 1, a >= 1)."""
     s = complex(s)
     require_finite(s=s, a=a)
@@ -96,9 +96,9 @@ def hurwitz_zeta(s, a, cfg=DEFAULT_CONFIG):
         raise DomainViolation(f"hurwitz_zeta needs a >= 1, got a = {a}")
     if abs(s.imag) > _IM_MAX_DIRECT:
         raise OverflowRegime(f"|Im s| = {abs(s.imag)} outside the validity window")
-    em_min, em_per_im = cfg._term_args()
-    return kernels.hurwitz_zeta(s, float(a), em_min, em_per_im,
-                                cfg.correction_order)
+    em_min, em_per_im = DEFAULT_CONFIG._term_args()
+    return overflow_checked(kernels.hurwitz_zeta, s, float(a), em_min,
+                            em_per_im, DEFAULT_CONFIG.correction_order)
 
 
 def zeta_negative_integer(n):

@@ -68,10 +68,9 @@ def compiled(compiled_package):
     return module
 
 
-def _run_python(root, backend, *argv):
-    """`python *argv`, importing mbzeta from root under MBZETA_BACKEND=backend."""
+def _run_python(root, *argv):
+    """`python *argv`, importing mbzeta from root."""
     env = {k: v for k, v in os.environ.items() if k != "MBZETA_CONFIG"}
-    env["MBZETA_BACKEND"] = backend
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
@@ -167,22 +166,16 @@ _SELECT = ("from mbzeta import BACKEND; import mbzeta.zeta as z; "
            "print(BACKEND, abs(z.riemann_zeta(2.0) - 1.6449340668482264) < 1e-12)")
 
 
-def test_backend_env_selection(compiled_package):
-    for backend, active in (("python", "python"), ("compiled", "compiled"),
-                            ("auto", "compiled")):
-        out = _run_python(compiled_package, backend, "-c", _SELECT)
+def test_backend_follows_importability(compiled_package):
+    # src/ holds no built extension; the temporary copy does
+    for root, active in ((SRC_ROOT, "python"), (compiled_package, "compiled")):
+        out = _run_python(root, "-c", _SELECT)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == [active, "True"]
 
 
-def test_backend_env_rejects_unknown():
-    out = _run_python(SRC_ROOT, "fortran", "-c", _SELECT)
-    assert out.returncode != 0
-    assert "MBZETA_BACKEND" in out.stderr
-
-
 def test_cli_verify_on_the_compiled_backend(compiled_package):
-    out = _run_python(compiled_package, "compiled", "-m", "mbzeta.cli", "verify")
+    out = _run_python(compiled_package, "-m", "mbzeta.cli", "verify")
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
     assert report["overall_pass"] is True
@@ -190,8 +183,9 @@ def test_cli_verify_on_the_compiled_backend(compiled_package):
 
 
 # Non-finite input at the public boundary must raise DomainViolation within a
-# second on both backends; one subprocess per backend, so a kernel that kills
-# the interpreter fails the test instead of the run.
+# second on both backends, and so must a quadrature tol that is not positive;
+# one subprocess per backend, so a kernel that kills the interpreter fails the
+# test instead of the run.
 NON_FINITE_CALLS = (
     "zeta.riemann_zeta(complex(nan, 0))",
     "zeta.riemann_zeta(inf)",
@@ -206,6 +200,23 @@ NON_FINITE_CALLS = (
     "contour.VerticalLineSpec(1.5, nan).validate_for(contour.zeta_zeta_gamma(4))",
     "contour.VerticalLineSpec(1.2, inf).validate_for(contour.gamma_power(3, .5))",
     "contour.integrate_real_improper(nan)",
+    "specfun.nearest_gamma_pole(nan)",
+    "contour.integrate_segment(contour.gamma_power(3, .5), 1j, 2+1j, nan)",
+    "contour.integrate_segment(contour.gamma_power(3, .5), 1j, 2+1j, 0.0)",
+    "contour.integrate_rectangle(contour.gamma_power(3, .5), "
+    "contour.RectangleSpec(0.5, 1.0, 1.0), -1e-8)",
+    "residues.numerical_residue(contour.gamma_power(3, 0.5), 0.0, tol=nan)",
+    "contour.integrate_real_improper(4, nan)",
+    "contour.integrate_real_improper(4, inf)",
+)
+# Finite input whose value overflows binary64 must raise OverflowRegime, in
+# the same probe.
+OVERFLOW_CALLS = (
+    "specfun.log_gamma(1e308)",
+    "specfun.gamma(200.0)",
+    "specfun.beta(1e308, 1.0)",
+    "zeta.riemann_zeta(-200.0)",
+    "zeta.riemann_zeta(-400.0)",
 )
 _PROBE = """
 import json, math, sys, time
@@ -223,18 +234,26 @@ print(json.dumps(out))
 
 
 @pytest.fixture(scope="module", params=("python", "compiled"))
-def non_finite_outcomes(request):
+def probe_outcomes(request):
     """{call: [exception name, seconds]} from one subprocess on the backend."""
     backend = request.param
     root = (SRC_ROOT if backend == "python"
             else request.getfixturevalue("compiled_package"))
-    out = _run_python(root, backend, "-c", _PROBE, json.dumps(NON_FINITE_CALLS))
+    out = _run_python(root, "-c", _PROBE,
+                      json.dumps(NON_FINITE_CALLS + OVERFLOW_CALLS))
     assert out.returncode == 0, (out.returncode, out.stderr[-2000:])
     return json.loads(out.stdout)
 
 
 @pytest.mark.parametrize("call", NON_FINITE_CALLS)
-def test_non_finite_input_raises_domain_violation(call, non_finite_outcomes):
-    kind, seconds = non_finite_outcomes[call]
+def test_non_finite_input_raises_domain_violation(call, probe_outcomes):
+    kind, seconds = probe_outcomes[call]
     assert kind == "DomainViolation"
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("call", OVERFLOW_CALLS)
+def test_overflow_raises_overflow_regime(call, probe_outcomes):
+    kind, seconds = probe_outcomes[call]
+    assert kind == "OverflowRegime"
     assert seconds < 1.0

@@ -131,6 +131,20 @@ def test_rect_impossible_tolerance_exits_one(capsys):
     assert "match=false" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--family", "gammapower", "--u", "0.5", "--s", "3", "--right", "4.5",
+      "--left", "-0.5"], "DomainViolation"),
+    (["--family", "zetazeta", "--s", "4", "--right", "3.5", "--left", "1.5"],
+     "DomainViolation"),
+    (["--family", "zetazeta", "--s", "4", "--right", "3", "--left", "1.5"],
+     "PoleOnPath"),
+], ids=["encloses-gamma-s", "encloses-zeta-s-1", "edge-through-zeta-s-1"])
+def test_rect_reaching_a_right_field_pole_exits_one(capsys, argv, error):
+    # the residue sums cover the left pole field only
+    assert main(["rect", *argv, "--T", "2"]) == 1
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+
+
 def test_residues_lists_all_kinds(capsys):
     assert main(["residues", "--family", "zetazeta", "--s", "4",
                  "--min", "-5", "--max", "1"]) == 0

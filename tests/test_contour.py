@@ -1,5 +1,6 @@
 """Line, rectangle, and real-axis quadrature against closed forms."""
 import cmath
+import inspect
 import math
 
 import pytest
@@ -7,18 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import mbzeta
+from mbzeta import cli, contour, residues, specfun, verify, zeta
 from mbzeta._backend import kernels
-from mbzeta.contour import (RectangleSpec, VerticalLineSpec,
+from mbzeta.contour import (ZETA_ZETA_GAMMA, RectangleSpec, VerticalLineSpec,
                             _point_segment_distance, _segment_pole_distance,
                             gamma_power, integrand_eval,
                             integrate_real_improper, integrate_rectangle,
                             integrate_segment, integrate_vertical,
                             zeta_gamma_power, zeta_zeta_gamma)
-from mbzeta.errors import (DomainViolation, PoleOnPath, PoleProximity,
-                           ToleranceUnreachable)
+from mbzeta.errors import (DomainViolation, PoleOnCircle, PoleOnPath,
+                           PoleProximity, ToleranceUnreachable)
 from mbzeta.residues import (asymptotic_tail_terms, numerical_residue,
                              residue_at)
-from mbzeta.zeta import ZetaEvalConfig, riemann_zeta
+from mbzeta.zeta import DEFAULT_CONFIG, ZetaEvalConfig, riemann_zeta
 
 
 def test_family_validation():
@@ -56,15 +59,26 @@ def _all_poles(f):
     return [n for n in range(-250, 3) if f.is_pole(n)]
 
 
+def _right_poles(f):
+    # Gamma(s-z) has poles at s + n, n >= 0; zeta(s-z) Gamma(s-z) also at
+    # s - 1, and its trivial zeros cancel s + n for even n >= 2
+    if f.tag == ZETA_ZETA_GAMMA:
+        return [f.s + n for n in range(-1, 250) if n <= 0 or n % 2]
+    return [f.s + n for n in range(0, 250)]
+
+
 @given(st.sampled_from(_FAMILIES), _REAL, _REAL, _POINT, _POINT)
 @settings(max_examples=300, deadline=None)
 def test_pole_walk_matches_brute_force(f, lo, hi, z0, z1):
     brute = _all_poles(f)
+    right = _right_poles(f)
     assert f.poles(lo, hi) == [n for n in brute if lo <= n <= hi]
-    # ascending scan: min keeps the lower pole on ties
-    assert f.nearest_pole(z0) == complex(min(brute, key=lambda n: abs(z0 - n)))
+    assert f.right_poles(lo, hi) == [p for p in right if lo <= p.real <= hi]
+    both = [complex(n) for n in brute] + right
+    near = f.nearest_pole(z0)
+    assert near in both and abs(z0 - near) == min(abs(z0 - p) for p in both)
     d = _segment_pole_distance(f, z0, z1)
-    best = min(_point_segment_distance(complex(n), z0, z1) for n in brute)
+    best = min(_point_segment_distance(p, z0, z1) for p in both)
     if best <= 2.0:
         assert d == best
     else:
@@ -118,6 +132,23 @@ def test_integrand_pole_guard():
     with pytest.raises(PoleProximity):
         integrand_eval(zz, complex(1.0, 1e-9))
     integrand_eval(zz, complex(-2.0, 0.0))  # trivial zero kills the pole
+
+
+def test_right_field_poles_are_guarded():
+    # Gamma(s - z) has a pole at z = s = 3
+    f = gamma_power(3.0, 0.5)
+    with pytest.raises(PoleProximity) as info:
+        integrand_eval(f, 3.0)
+    assert info.value.nearest_pole == 3.0 + 0j
+    with pytest.raises(PoleOnPath):
+        integrate_segment(f, 3 - 1j, 3 + 1j, 1e-8)
+    with pytest.raises(PoleOnCircle):
+        numerical_residue(f, 3.3, radius=0.3)
+    # zeta(s - z) adds s - 1 = 3 for zeta_zeta_gamma(4); s + 2 = 6 is cancelled
+    zz = zeta_zeta_gamma(complex(4.0, 1.0))
+    with pytest.raises(PoleProximity):
+        integrand_eval(zz, complex(3.0, 1.0))
+    integrand_eval(zz, complex(6.0, 1.0))
 
 
 def test_vertical_line_power_identity():
@@ -223,8 +254,9 @@ def test_rectangle_edge_through_pole():
 
 
 def test_pole_guard_wider_than_two():
-    # the pole at 0 lies 3.0 to 3.16 from the segment Re z = 3, |Im z| <= 1
-    f = gamma_power(5.0, 0.5)
+    # the pole at 0 lies 3.0 to 3.16 from the segment Re z = 3, |Im z| <= 1,
+    # and the nearest right-field pole, at s = 8, lies 5 from it
+    f = gamma_power(8.0, 0.5)
     with pytest.raises(PoleOnPath):
         integrate_segment(f, 3 - 1j, 3 + 1j, 1e-8, pole_guard=3.5)
     with pytest.raises(PoleOnPath):
@@ -278,28 +310,33 @@ def test_power_identity_property(s, u):
     assert abs(r.value - expect) / abs(expect) < 1e-7
 
 
-# The kernels' default term arguments equal DEFAULT_CONFIG's, so only a
-# non-default config shows whether a binding passes cfg through.
+# The integrators and residue paths bind DEFAULT_CONFIG's term arguments
+# themselves instead of leaning on the kernels' defaults, so the recorded call
+# carries all four. riemann_zeta alone takes a config; its case passes a
+# non-default one to show that it reaches the kernel.
+_DEFAULT_ARGS = DEFAULT_CONFIG._term_args() + (DEFAULT_CONFIG.correction_order,
+                                               DEFAULT_CONFIG.reflect_below)
 _BIND_CFG = ZetaEvalConfig(em_terms=30, correction_order=16, reflect_below=0.25)
 _ZZG = zeta_zeta_gamma(4.0)
 
 
-@pytest.mark.parametrize("kernel, run", [
-    ("integrand", lambda: integrand_eval(_ZZG, complex(1.5, 2.0), _BIND_CFG)),
+@pytest.mark.parametrize("kernel, run, want", [
+    ("integrand", lambda: integrand_eval(_ZZG, complex(1.5, 2.0)), _DEFAULT_ARGS),
     ("integrand", lambda: integrate_segment(
-        _ZZG, complex(1.5, -2.0), complex(1.5, 2.0), 1e-6, _BIND_CFG)),
+        _ZZG, complex(1.5, -2.0), complex(1.5, 2.0), 1e-6), _DEFAULT_ARGS),
     ("integrand", lambda: integrate_vertical(
-        _ZZG, VerticalLineSpec(1.5, 1e-6), _BIND_CFG)),
+        _ZZG, VerticalLineSpec(1.5, 1e-6)), _DEFAULT_ARGS),
     ("integrand", lambda: integrate_rectangle(
-        _ZZG, RectangleSpec(1.5, 2.0, 10.0), 1e-6, _BIND_CFG)),
-    ("integrand", lambda: numerical_residue(_ZZG, 0.0, tol=1e-6, cfg=_BIND_CFG)),
-    ("riemann_zeta", lambda: residue_at(_ZZG, -3, _BIND_CFG)),
-    ("riemann_zeta", lambda: asymptotic_tail_terms(4.0, 5, _BIND_CFG)),
-    ("riemann_zeta", lambda: riemann_zeta(complex(0.5, 14.0), _BIND_CFG)),
+        _ZZG, RectangleSpec(1.5, 2.0, 10.0), 1e-6), _DEFAULT_ARGS),
+    ("integrand", lambda: numerical_residue(_ZZG, 0.0, tol=1e-6), _DEFAULT_ARGS),
+    ("riemann_zeta", lambda: residue_at(_ZZG, -3), _DEFAULT_ARGS),
+    ("riemann_zeta", lambda: asymptotic_tail_terms(4.0, 5), _DEFAULT_ARGS),
+    ("riemann_zeta", lambda: riemann_zeta(complex(0.5, 14.0), _BIND_CFG),
+     (30, 0.0, 16, 0.25)),
 ], ids=["integrand_eval", "integrate_segment", "integrate_vertical",
         "integrate_rectangle", "numerical_residue", "residue_at",
         "asymptotic_tail_terms", "riemann_zeta"])
-def test_config_reaches_the_kernel(monkeypatch, kernel, run):
+def test_config_reaches_the_kernel(monkeypatch, kernel, run, want):
     calls = []
     orig = getattr(kernels, kernel)
 
@@ -310,4 +347,19 @@ def test_config_reaches_the_kernel(monkeypatch, kernel, run):
     monkeypatch.setattr(kernels, kernel, recorder)
     run()
     assert calls
-    assert all(c[-4:] == (30, 0.0, 16, 0.25) for c in calls)
+    assert all(c[-4:] == want for c in calls)
+
+
+def test_only_riemann_zeta_takes_a_config():
+    takers = set()
+    for module in (mbzeta, cli, contour, residues, specfun, verify, zeta):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            try:
+                params = inspect.signature(obj).parameters.values()
+            except (TypeError, ValueError):  # not callable, or no signature
+                continue
+            if any(p.name == "cfg" or isinstance(p.default, ZetaEvalConfig)
+                   for p in params):
+                takers.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert takers == {"mbzeta.zeta.riemann_zeta"}
