@@ -13,7 +13,10 @@ path and circle guard asks it.
 Quadrature is adaptive bisection on an embedded 15-point Kronrod / 7-point
 Gauss pair; panels are accepted when the local estimate is below
 tol * (panel length / total length), and panel contributions accumulate in
-compensated (Neumaier) sums in a fixed left-to-right order.
+compensated (Neumaier) sums in a fixed left-to-right order. For real s the
+integrand satisfies f(conj z) = conj f(z), so lines and rectangles integrate
+only their upper half, at the same tolerance per unit length, and take the
+full integral as 2i Im of that half.
 """
 import cmath
 import math
@@ -23,7 +26,8 @@ from ._backend import kernels
 from ._kernel_constants import (BERNOULLI_FRACTIONS, GAUSS_WEIGHTS, GK_NODES,
                                 GK_WEIGHTS)
 from .errors import (DomainViolation, PoleOnPath, PoleProximity,
-                     ToleranceUnreachable, require_finite, require_tol)
+                     ToleranceUnreachable, overflow_checked, require_finite,
+                     require_tol)
 from .specfun import POLE_GUARD
 from .zeta import DEFAULT_CONFIG
 
@@ -213,7 +217,7 @@ def integrand_eval(f, z):
     pole = f.nearest_pole(z)
     if abs(z - pole) <= POLE_GUARD:
         raise PoleProximity(z, pole)
-    return _bound_integrand(f)(z)
+    return overflow_checked(_bound_integrand(f), z)
 
 
 def _bound_integrand(f):
@@ -229,10 +233,10 @@ def _bound_integrand(f):
     reflect_below = DEFAULT_CONFIG.reflect_below
     kern = kernels.integrand
 
-    def fn(z):
+    def integrand(z):
         return kern(tag, s, p, z, em_min, em_per_im, order, reflect_below)
 
-    return fn
+    return integrand
 
 
 class _CompensatedSum:
@@ -385,9 +389,18 @@ def _integrate_vertical_unchecked(f, x0, tol,
         if T > 500.0:
             raise ToleranceUnreachable(
                 f"tail bound will not reach {tol} at practical heights")
-    raw, err, n = _adaptive_segment(_bound_integrand(f), complex(x0, -T),
-                                    complex(x0, T), 0.5 * tol * TWO_PI,
-                                    max_evaluations)
+    fn = _bound_integrand(f)
+    if f.s.imag == 0.0:
+        # f(conj z) = conj f(z): the lower half adds the conjugate of the
+        # upper half's integral, so the full raw integral is 2i Im(upper);
+        # the upper half at half the tolerance keeps the tolerance per unit
+        # length, and with it the panels
+        raw, err, n = _adaptive_segment(fn, complex(x0), complex(x0, T),
+                                        0.25 * tol * TWO_PI, max_evaluations)
+        raw, err = complex(0.0, 2.0 * raw.imag), 2.0 * err
+    else:
+        raw, err, n = _adaptive_segment(fn, complex(x0, -T), complex(x0, T),
+                                        0.5 * tol * TWO_PI, max_evaluations)
     return QuadratureResult(raw / (2j * math.pi), err / TWO_PI,
                             _pair_tail_bound(x0, f.s, T, extra), n)
 
@@ -415,17 +428,28 @@ def integrate_rectangle(f, rect, tol=1e-9,
         if _segment_pole_distance(f, a, b, pole_guard) <= pole_guard:
             raise PoleOnPath(
                 f"rectangle edge [{a}, {b}] passes within {pole_guard} of a pole")
+    mirrored = f.s.imag == 0.0
+    if mirrored:
+        # f(conj z) = conj f(z): the lower half of the boundary adds minus
+        # the conjugate of the upper half's integral; walk the upper half,
+        # with the vertical edges halved and their tolerance shares with them
+        legs = ((complex(rect.c), c2, 0.125), (c2, c3, 0.25),
+                (c3, complex(rect.left), 0.125))
+    else:
+        legs = tuple((a, b, 0.25) for a, b in edges)
     fn = _bound_integrand(f)
     budget = max_evaluations
     value = 0j
     err = 0.0
     evals = 0
-    for a, b in edges:
-        raw, e, n = _adaptive_segment(fn, a, b, 0.25 * tol * TWO_PI, budget)
+    for a, b, share in legs:
+        raw, e, n = _adaptive_segment(fn, a, b, share * tol * TWO_PI, budget)
         value += raw
         err += e
         evals += n
         budget -= n
+    if mirrored:
+        value, err = complex(0.0, 2.0 * value.imag), 2.0 * err
     return QuadratureResult(value / (2j * math.pi), err / TWO_PI, 0.0, evals)
 
 

@@ -161,23 +161,29 @@ def numerical_residue(f, z0, radius=0.3, tol=1e-10):
     if len(enclosed) > 1:
         raise PoleOnCircle(f"disk around {z0} encloses multiple poles {enclosed}")
     fn = _bound_integrand(f)
-    n_pts = 16
-    prev = None
-    evals = 0
-    while n_pts <= 16384:
+
+    def node_sum(n_pts, first, step):
         acc = 0j
-        for j in range(n_pts):
+        for j in range(first, n_pts, step):
             w = cmath.exp(2j * math.pi * j / n_pts)
             acc += fn(z0 + radius * w) * radius * w
-        evals += n_pts
+        return acc
+
+    # each doubling keeps the earlier nodes (the even indices of the finer
+    # grid) and their sum, and evaluates only the new odd-indexed ones
+    n_pts = 16
+    acc = node_sum(n_pts, 0, 1)
+    prev = acc / n_pts
+    while n_pts < 16384:
+        n_pts *= 2
+        acc += node_sum(n_pts, 1, 2)
         cur = acc / n_pts
-        if prev is not None and abs(cur - prev) < tol:
+        if abs(cur - prev) < tol:
             return cur
         prev = cur
-        n_pts *= 2
     raise ToleranceUnreachable(
         f"circle quadrature did not stabilize to {tol}", partial_value=prev,
-        evaluations=evals)
+        evaluations=n_pts)
 
 
 def asymptotic_tail_terms(s, M=20):
@@ -187,6 +193,7 @@ def asymptotic_tail_terms(s, M=20):
     sits and where monotone growth sets in.
     """
     s = complex(s)
+    require_finite(s=s)
     if s.real <= 2.0:
         raise DomainViolation(f"tail study needs Re(s) > 2, got {s}")
     if not 0 <= M <= 30:

@@ -57,6 +57,7 @@ def stirling_main_term(z, sector_delta=0.01):
     the asymptotic sector ends.
     """
     z = complex(z)
+    require_finite(z=z)
     if z == 0.0 or abs(cmath.phase(z)) >= math.pi - sector_delta:
         raise SectorViolation(
             f"arg({z}) outside the Stirling sector |arg z| < pi - {sector_delta}")
@@ -70,6 +71,7 @@ def stirling_defect(z, sector_delta=0.01):
 
 def gamma_pole_residue(n):
     """Residue of Gamma at z = -n, namely (-1)^n / n!."""
+    require_finite(n=n)
     if n < 0 or n != int(n):
         raise ValueError("pole index must be a nonnegative integer")
     n = int(n)

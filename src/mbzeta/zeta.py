@@ -103,6 +103,7 @@ def hurwitz_zeta(s, a):
 
 def zeta_negative_integer(n):
     """Exact zeta(-n) = (-1)^n B_{n+1} / (n+1) as a Fraction."""
+    require_finite(n=n)
     if n < 1 or n != int(n):
         raise DomainViolation("n must be a positive integer")
     n = int(n)
@@ -136,6 +137,7 @@ def double_sum_oracle(s, tol=1e-12):
     riemann_zeta by construction.
     """
     s = complex(s)
+    require_finite(s=s)
     if s.real <= 2.0:
         raise DomainViolation(f"double_sum_oracle needs Re(s) > 2, got {s}")
     K = max(20, math.ceil(2.0 * abs(s.imag)))

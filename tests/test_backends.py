@@ -162,6 +162,21 @@ def test_integrand_parity_all_families(compiled, args):
             assert abs(a - b) <= 1e-12 * max(1e-30, abs(a)), (tag, s, z)
 
 
+@pytest.mark.parametrize("backend", ("python", "compiled"))
+def test_integrand_conjugate_symmetry_for_real_s(request, backend):
+    # contour integrates only the upper half of a real-s line or rectangle,
+    # which holds because integrand(conj z) = conj integrand(z) for real s
+    kern = (_purepy if backend == "python"
+            else request.getfixturevalue("compiled"))
+    args = TERM_ARGS[0]  # DEFAULT_CONFIG's, the ones the package binds
+    for tag, s, prm in ((0, 3.0, 0.5), (1, 4.0, 0.0), (2, 4.5, 2.5)):
+        for z in [*_grid(1.2, 1.45, 0.5, 25.0, n=7),
+                  *_grid(-4.3, 0.45, 0.5, 25.0, n=6)]:
+            a = kern.integrand(tag, complex(s), prm, z, *args)
+            b = kern.integrand(tag, complex(s), prm, z.conjugate(), *args)
+            assert abs(b - a.conjugate()) <= 1e-13 * abs(a), (tag, s, z)
+
+
 _SELECT = ("from mbzeta import BACKEND; import mbzeta.zeta as z; "
            "print(BACKEND, abs(z.riemann_zeta(2.0) - 1.6449340668482264) < 1e-12)")
 
@@ -208,6 +223,11 @@ NON_FINITE_CALLS = (
     "residues.numerical_residue(contour.gamma_power(3, 0.5), 0.0, tol=nan)",
     "contour.integrate_real_improper(4, nan)",
     "contour.integrate_real_improper(4, inf)",
+    "residues.asymptotic_tail_terms(nan)",
+    "specfun.stirling_main_term(nan)",
+    "zeta.double_sum_oracle(nan)",
+    "specfun.gamma_pole_residue(nan)",
+    "zeta.zeta_negative_integer(nan)",
 )
 # Finite input whose value overflows binary64 must raise OverflowRegime, in
 # the same probe.
@@ -217,6 +237,7 @@ OVERFLOW_CALLS = (
     "specfun.beta(1e308, 1.0)",
     "zeta.riemann_zeta(-200.0)",
     "zeta.riemann_zeta(-400.0)",
+    "contour.integrand_eval(contour.zeta_zeta_gamma(4), complex(-300, 0.5))",
 )
 _PROBE = """
 import json, math, sys, time

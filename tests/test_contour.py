@@ -200,6 +200,84 @@ def test_vertical_line_value_is_real_for_real_parameters():
     assert abs(r.value.imag) < 1e-12
 
 
+def _record_segments(monkeypatch):
+    """Record the (z0, z1) of every _adaptive_segment call."""
+    paths = []
+    orig = contour._adaptive_segment
+
+    def recorder(f, z0, z1, *rest):
+        paths.append((z0, z1))
+        return orig(f, z0, z1, *rest)
+
+    monkeypatch.setattr(contour, "_adaptive_segment", recorder)
+    return paths
+
+
+@pytest.mark.parametrize("f, c, tol, expect", [
+    (gamma_power(3.0, 0.5), 1.2, 1e-10, 16.0 / 27.0),
+    (zeta_zeta_gamma(4.0), 1.5, 1e-10,
+     6.0 * (riemann_zeta(3.0).real - math.pi ** 4 / 90.0)),
+    (zeta_gamma_power(4.0, 2.0), 1.5, 1e-10, 6.0 * (math.pi ** 4 / 90.0 - 1.0)),
+], ids=["gamma_power", "zeta_zeta_gamma", "zeta_gamma_power"])
+def test_real_s_line_integrates_the_upper_half(monkeypatch, f, c, tol, expect):
+    paths = _record_segments(monkeypatch)
+    r = integrate_vertical(f, VerticalLineSpec(c, tol))
+    assert r.value.imag == 0.0
+    assert abs(r.value - expect) < tol
+    [(z0, z1)] = paths
+    assert z0 == complex(c) and z1.real == c
+    # the full line at the same tolerance per unit length: the same panels
+    # on each half, plus the root panel the mirror never splits
+    T = z1.imag
+    _, _, n = contour._adaptive_segment(
+        contour._bound_integrand(f), complex(c, -T), complex(c, T),
+        0.5 * tol * contour.TWO_PI, contour.DEFAULT_MAX_EVALUATIONS)
+    assert r.evaluations == (n - 15) // 2 and n % 30 == 15
+
+
+def test_real_s_rectangle_integrates_the_upper_half():
+    f = gamma_power(3.0, 0.5)
+    rect = RectangleSpec(0.8, 4.3, 20.0)
+    r = integrate_rectangle(f, rect, 1e-9)
+    expect = sum((residue_at(f, p).value
+                  for p in residues.enumerate_poles(f, rect)), start=0j)
+    assert abs(r.value - expect) < 1e-9
+    c1, c2, c3, c4 = rect.corners()
+    full = sum(contour._adaptive_segment(
+        contour._bound_integrand(f), a, b, 0.25 * 1e-9 * contour.TWO_PI,
+        contour.DEFAULT_MAX_EVALUATIONS)[2]
+        for a, b in ((c1, c2), (c2, c3), (c3, c4), (c4, c1)))
+    # half of each vertical edge but its root panel, the top edge, no bottom
+    assert r.evaluations == (full - 30) // 2 < full
+
+
+def test_complex_s_integrates_the_whole_path(monkeypatch):
+    # the mirror needs real s; complex s keeps the four-edge walk and the
+    # full line, each at the tolerance share it always had
+    f = zeta_gamma_power(complex(4.0, 3.0), 2.5)
+    paths = _record_segments(monkeypatch)
+    line = integrate_vertical(f, VerticalLineSpec(1.5, 1e-10))
+    rect = integrate_rectangle(f, RectangleSpec(1.5, 2.0, 10.0), 1e-9)
+    corners = RectangleSpec(1.5, 2.0, 10.0).corners()
+    (z0, z1), *edges = paths
+    assert z0 == z1.conjugate() and z0.imag < 0.0
+    assert edges == list(zip(corners, corners[1:] + corners[:1]))
+
+    def walk(share, *legs):
+        raw, err, evals = 0j, 0.0, 0
+        for a, b in legs:
+            v, e, n = contour._adaptive_segment(
+                contour._bound_integrand(f), a, b, share * contour.TWO_PI,
+                contour.DEFAULT_MAX_EVALUATIONS)
+            raw, err, evals = raw + v, err + e, evals + n
+        return raw / (2j * math.pi), err / contour.TWO_PI, evals
+
+    assert (line.value, line.err_estimate, line.evaluations) == \
+        walk(0.5 * 1e-10, (z0, z1))
+    assert (rect.value, rect.err_estimate, rect.evaluations) == \
+        walk(0.25 * 1e-9, *edges)
+
+
 def test_segment_additivity_and_conjugation():
     f = zeta_zeta_gamma(4.0)
     a, m, b = complex(1.5, 2.0), complex(0.2, 5.0), complex(-1.2, 8.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mbzeta._backend import kernels
 from mbzeta.contour import (RectangleSpec, gamma_power, zeta_gamma_power,
                             zeta_zeta_gamma)
 from mbzeta.errors import (DomainViolation, NotAPole, OverflowRegime,
@@ -126,6 +127,21 @@ def test_numerical_residue_regular_point_vanishes():
     assert abs(numerical_residue(zz, complex(0.5, 0.5), radius=0.2)) < 1e-9
 
 
+def test_numerical_residue_evaluates_each_node_once(monkeypatch):
+    # a doubling keeps the earlier nodes and evaluates only the new ones, so
+    # stopping on the 64-node grid (after 16 and 32) costs 64 calls
+    points = []
+    orig = kernels.integrand
+
+    def recorder(tag, s, p, z, *rest):
+        points.append(z)
+        return orig(tag, s, p, z, *rest)
+
+    monkeypatch.setattr(kernels, "integrand", recorder)
+    numerical_residue(gamma_power(3.0, 0.5), 0.0, tol=1e-10)
+    assert len(points) == len(set(points)) == 64
+
+
 def test_numerical_residue_circle_guards():
     zz = zeta_zeta_gamma(4.0)
     with pytest.raises(PoleOnCircle):
@@ -134,7 +150,7 @@ def test_numerical_residue_circle_guards():
         numerical_residue(zz, complex(0.7, 0.0), radius=0.3)  # touches 1
     with pytest.raises(ToleranceUnreachable) as info:
         numerical_residue(zz, complex(0.0, 0.0), tol=1e-300)
-    assert info.value.evaluations > 16
+    assert info.value.evaluations == 16384  # every node of the finest grid
     assert abs(info.value.partial_value + 3.2469697011) < 1e-8
 
 
