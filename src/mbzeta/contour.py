@@ -10,16 +10,25 @@ segments, axis-aligned rectangles, and the positive real axis. The left poles
 and zeta(s-z)) at s + n; IntegrandFamily lists both fields, and every point,
 path and circle guard asks it.
 
-Quadrature is adaptive bisection on an embedded 15-point Kronrod / 7-point
-Gauss pair; panels are accepted when the local estimate is below
-tol * (panel length / total length), and panel contributions accumulate in
-compensated (Neumaier) sums in a fixed left-to-right order. For real s the
-integrand satisfies f(conj z) = conj f(z), so lines and rectangles integrate
-only their upper half, at the same tolerance per unit length, and take the
-full integral as 2i Im of that half.
+Segments, rectangle edges, complex-s lines and the real axis use adaptive
+bisection on an embedded 15-point Kronrod / 7-point Gauss pair; panels are
+accepted when the local estimate is below tol * (panel length / total
+length), and panel contributions accumulate in compensated (Neumaier) sums
+in a fixed left-to-right order. For real s the integrand satisfies
+f(conj z) = conj f(z), so rectangles integrate only their upper half, at the
+same tolerance per unit length, and take the full integral as 2i Im of that
+half.
+
+A real-s line uses the same mirror with a nested trapezoid rule instead:
+every pole is real, so y = d sinh(u), d the distance from the line to the
+nearest pole, puts them all on Im u = +-pi/2 and the trapezoid in u converges
+geometrically. Its sums also give the rounding floor of the integral, and a
+tol/2 below FLOOR_FACTOR floors raises ToleranceUnreachable at the first
+level that shows it, instead of spending the evaluation budget.
 """
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from ._backend import kernels
@@ -48,7 +57,14 @@ FAMILY_TAGS = (GAMMA_POWER, ZETA_ZETA_GAMMA, ZETA_GAMMA_POWER)
 _KERNEL_TAG = {GAMMA_POWER: 0, ZETA_ZETA_GAMMA: 1, ZETA_GAMMA_POWER: 2}
 
 TWO_PI = 2.0 * math.pi
+EPS = sys.float_info.epsilon
 DEFAULT_MAX_EVALUATIONS = 2_000_000
+# a real-s line raises ToleranceUnreachable when tol/2 is below this multiple
+# of its trapezoid's rounding floor. With the check off, on the 108 real-s
+# edge and floor probes of perfbench's lines workload (seeds 1-40), the two
+# wrong answers (off by 4.4 and 6.5 tol) had tol/2 below 0.45 floors; right
+# ones came from 1.9 floors up, with errors up to 0.39 tol below 8 floors.
+FLOOR_FACTOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -311,6 +327,87 @@ def _adaptive_segment(f, z0, z1, tol_abs, max_evaluations):
     return complex(re_sum.total(), im_sum.total()), err_sum.total(), evals
 
 
+def _walk(fn, legs, tol, max_evaluations, mirrored=False):
+    """(value, err, evals) of (1/(2*pi*i)) times the integral along the legs
+    (z0, z1, share), each leg held to share * tol and given what is left of
+    the budget.
+
+    mirrored: the legs are the upper half of a real-s path, whose lower half
+    adds minus the conjugate of the upper half's integral, so the whole raw
+    integral is 2i Im of it. A ToleranceUnreachable carries the finished legs
+    plus the partial one, in value's units.
+    """
+    def normalized(raw):
+        if mirrored:
+            raw = complex(0.0, 2.0 * raw.imag)
+        return raw / (2j * math.pi)
+
+    value = 0j
+    err = 0.0
+    evals = 0
+    for a, b, share in legs:
+        try:
+            raw, e, n = _adaptive_segment(fn, a, b, share * tol * TWO_PI,
+                                          max_evaluations - evals)
+        except ToleranceUnreachable as exc:
+            exc.partial_value = normalized(value + exc.partial_value)
+            raise
+        value += raw
+        err += e
+        evals += n
+    if mirrored:
+        err *= 2.0
+    return normalized(value), err / TWO_PI, evals
+
+
+def _nested_trapezoid(term, n, nodes, scale, tol, max_evaluations, what,
+                      floor_factor=0.0):
+    """(value, err, evals) of the nested trapezoid sums
+    Q_n = scale * sum_j term(j, n) / n, at the first level within tol of the
+    level before it.
+
+    The first level sums term(j, n) over j in range(nodes). Each doubling
+    keeps the running sum, whose nodes are the even j of the finer grid, and
+    evaluates only the odd j in range(1, 2n, 2). The rounding floor of a
+    level is eps * scale * sum_j |term(j, n)| / n; err is the larger of it
+    and the last difference, and a level raises ToleranceUnreachable when tol
+    is below floor_factor times its floor. A level that would take the
+    evaluation count beyond max_evaluations is not started: the raise carries
+    the last level's value.
+    """
+    if nodes > max_evaluations:
+        raise ToleranceUnreachable(
+            f"{what}: evaluation budget {max_evaluations} is below the "
+            f"{nodes} nodes of the first level")
+    acc = 0.0
+    mass = 0.0
+    evals = 0
+    js = range(nodes)
+    prev = None
+    while True:
+        terms = [term(j, n) for j in js]
+        evals += len(terms)
+        acc += sum(terms)
+        mass += sum(map(abs, terms))
+        cur = acc * scale / n
+        floor = EPS * scale * mass / n
+        if tol < floor_factor * floor:
+            raise ToleranceUnreachable(
+                f"{what}: the trapezoid's share of tol, {tol:.3g}, is below "
+                f"{floor_factor:g} times its rounding floor {floor:.3g}",
+                partial_value=cur,
+                evaluations=evals)
+        if prev is not None and abs(cur - prev) < tol:
+            return cur, max(abs(cur - prev), floor), evals
+        prev = cur
+        if evals + n > max_evaluations:
+            raise ToleranceUnreachable(
+                f"{what} did not stabilize to {tol} within {max_evaluations} "
+                f"evaluations", partial_value=cur, evaluations=evals)
+        n *= 2
+        js = range(1, n, 2)
+
+
 def _segment_pole_distance(f, z0, z1, reach=2.0):
     """Min distance from the family's poles to segment [z0, z1]; exact when
     it is at most reach, and otherwise only known to exceed reach."""
@@ -339,9 +436,9 @@ def integrate_segment(f, z0, z1, tol=1e-10,
     require_tol(tol)
     if _segment_pole_distance(f, z0, z1, pole_guard) <= pole_guard:
         raise PoleOnPath(f"segment [{z0}, {z1}] passes within {pole_guard} of a pole")
-    raw, err, n = _adaptive_segment(_bound_integrand(f), z0, z1,
-                                    tol * TWO_PI, max_evaluations)
-    return QuadratureResult(raw / (2j * math.pi), err / TWO_PI, 0.0, n)
+    value, err, n = _walk(_bound_integrand(f), ((z0, z1, 1.0),), tol,
+                          max_evaluations)
+    return QuadratureResult(value, err, 0.0, n)
 
 
 _MODULUS_K = math.sqrt(TWO_PI) * 1.25  # |Gamma(x+iy)| <= K|y|^{x-1/2}e^{-pi|y|/2}, |y|>=10
@@ -389,20 +486,30 @@ def _integrate_vertical_unchecked(f, x0, tol,
         if T > 500.0:
             raise ToleranceUnreachable(
                 f"tail bound will not reach {tol} at practical heights")
+    tail = _pair_tail_bound(x0, f.s, T, extra)
     fn = _bound_integrand(f)
-    if f.s.imag == 0.0:
-        # f(conj z) = conj f(z): the lower half adds the conjugate of the
-        # upper half's integral, so the full raw integral is 2i Im(upper);
-        # the upper half at half the tolerance keeps the tolerance per unit
-        # length, and with it the panels
-        raw, err, n = _adaptive_segment(fn, complex(x0), complex(x0, T),
-                                        0.25 * tol * TWO_PI, max_evaluations)
-        raw, err = complex(0.0, 2.0 * raw.imag), 2.0 * err
-    else:
-        raw, err, n = _adaptive_segment(fn, complex(x0, -T), complex(x0, T),
-                                        0.5 * tol * TWO_PI, max_evaluations)
-    return QuadratureResult(raw / (2j * math.pi), err / TWO_PI,
-                            _pair_tail_bound(x0, f.s, T, extra), n)
+    if f.s.imag != 0.0:
+        value, err, n = _walk(fn, ((complex(x0, -T), complex(x0, T), 0.5),),
+                              tol, max_evaluations)
+        return QuadratureResult(value, err, tail, n)
+    # f(conj z) = conj f(z), so the line integral is (1/2pi) int Re f(x0+iy)
+    # dy, an even integrand; y = d sinh(u) puts every pole, all of them real,
+    # on Im u = +-pi/2, where the trapezoid in u converges geometrically
+    d = abs(x0 - f.nearest_pole(x0))
+    if d <= POLE_GUARD:
+        raise PoleOnPath(f"line Re z = {x0} passes within {POLE_GUARD} of a pole")
+    U = math.asinh(T / d)
+
+    def term(j, n):
+        u = j * U / n
+        g = fn(complex(x0, d * math.sinh(u))).real * d * math.cosh(u)
+        return 2.0 * g if j else g
+
+    value, err, n = _nested_trapezoid(term, 8, 9, U / TWO_PI, 0.5 * tol,
+                                      max_evaluations,
+                                      f"line Re z = {x0}, tol {tol:.3g}",
+                                      FLOOR_FACTOR)
+    return QuadratureResult(complex(value, 0.0), err, tail, n)
 
 
 def integrate_vertical(f, line, max_evaluations=DEFAULT_MAX_EVALUATIONS):
@@ -410,7 +517,10 @@ def integrate_vertical(f, line, max_evaluations=DEFAULT_MAX_EVALUATIONS):
 
     The line is truncated at the smallest height T (stepped by 2 from
     max(|Im s| + 10, 15)) whose analytic Gamma-pair tail bound is <= tol/2;
-    the finite part is integrated adaptively to err_estimate <= tol/2.
+    the finite part is integrated to err_estimate <= tol/2: by adaptive
+    Gauss-Kronrod for complex s, by a nested sinh-mapped trapezoid for real
+    s, which raises ToleranceUnreachable when tol/2 is below FLOOR_FACTOR
+    times its rounding floor.
     """
     line.validate_for(f)
     return _integrate_vertical_unchecked(f, line.c, line.tol, max_evaluations)
@@ -437,20 +547,9 @@ def integrate_rectangle(f, rect, tol=1e-9,
                 (c3, complex(rect.left), 0.125))
     else:
         legs = tuple((a, b, 0.25) for a, b in edges)
-    fn = _bound_integrand(f)
-    budget = max_evaluations
-    value = 0j
-    err = 0.0
-    evals = 0
-    for a, b, share in legs:
-        raw, e, n = _adaptive_segment(fn, a, b, share * tol * TWO_PI, budget)
-        value += raw
-        err += e
-        evals += n
-        budget -= n
-    if mirrored:
-        value, err = complex(0.0, 2.0 * value.imag), 2.0 * err
-    return QuadratureResult(value / (2j * math.pi), err / TWO_PI, 0.0, evals)
+    value, err, evals = _walk(_bound_integrand(f), legs, tol, max_evaluations,
+                              mirrored)
+    return QuadratureResult(value, err, 0.0, evals)
 
 
 def _axis_coefficients():

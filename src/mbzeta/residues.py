@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 from ._backend import kernels
 from .contour import (GAMMA_POWER, ZETA_GAMMA_POWER, ZETA_ZETA_GAMMA,
-                      _bound_integrand)
+                      _bound_integrand, _nested_trapezoid)
 from .errors import (DomainViolation, NotAPole, OverflowRegime, PoleOnBoundary,
-                     PoleOnCircle, ToleranceUnreachable, require_finite,
-                     require_tol)
+                     PoleOnCircle, require_finite, require_tol)
 from .specfun import POLE_GUARD
 from .zeta import DEFAULT_CONFIG, _bound_zeta, zeta_negative_integer
 
@@ -162,28 +161,14 @@ def numerical_residue(f, z0, radius=0.3, tol=1e-10):
         raise PoleOnCircle(f"disk around {z0} encloses multiple poles {enclosed}")
     fn = _bound_integrand(f)
 
-    def node_sum(n_pts, first, step):
-        acc = 0j
-        for j in range(first, n_pts, step):
-            w = cmath.exp(2j * math.pi * j / n_pts)
-            acc += fn(z0 + radius * w) * radius * w
-        return acc
+    def term(j, n):
+        w = cmath.exp(2j * math.pi * j / n)
+        return fn(z0 + radius * w) * radius * w
 
-    # each doubling keeps the earlier nodes (the even indices of the finer
-    # grid) and their sum, and evaluates only the new odd-indexed ones
-    n_pts = 16
-    acc = node_sum(n_pts, 0, 1)
-    prev = acc / n_pts
-    while n_pts < 16384:
-        n_pts *= 2
-        acc += node_sum(n_pts, 1, 2)
-        cur = acc / n_pts
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise ToleranceUnreachable(
-        f"circle quadrature did not stabilize to {tol}", partial_value=prev,
-        evaluations=n_pts)
+    # 16 nodes to start, doubled up to the 16384 of the finest grid
+    value, _, _ = _nested_trapezoid(term, 16, 16, 1.0, tol, 16384,
+                                    "circle quadrature")
+    return value
 
 
 def asymptotic_tail_terms(s, M=20):

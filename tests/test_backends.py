@@ -239,42 +239,78 @@ OVERFLOW_CALLS = (
     "zeta.riemann_zeta(-400.0)",
     "contour.integrand_eval(contour.zeta_zeta_gamma(4), complex(-300, 0.5))",
 )
+# Real-s lines, one per family, and one whose tol is below its rounding floor,
+# in the same probe: {call: (tol, outcome)}. Both backends must give the
+# outcome, and values within tol of each other.
+LINE_CALLS = {
+    "contour.integrate_vertical(contour.gamma_power(3, 0.5), "
+    "contour.VerticalLineSpec(1.2, 1e-10))": (1e-10, "returned"),
+    "contour.integrate_vertical(contour.zeta_zeta_gamma(4), "
+    "contour.VerticalLineSpec(1.5, 1e-10))": (1e-10, "returned"),
+    "contour.integrate_vertical(contour.zeta_gamma_power(4, 2), "
+    "contour.VerticalLineSpec(1.5, 1e-10))": (1e-10, "returned"),
+    "contour.integrate_vertical(contour.gamma_power(5.1, 0.009), "
+    "contour.VerticalLineSpec(3.9, 2.5e-7))": (2.5e-7, "ToleranceUnreachable"),
+}
 _PROBE = """
 import json, math, sys, time
 from mbzeta import contour, residues, specfun, zeta
 nan, inf, out = math.nan, math.inf, {}
 for call in json.loads(sys.argv[1]):
-    t0, kind = time.perf_counter(), "returned"
+    t0, kind, value = time.perf_counter(), "returned", None
     try:
-        eval(call)
+        value = getattr(eval(call), "value", None)
     except Exception as exc:
         kind = type(exc).__name__
-    out[call] = [kind, time.perf_counter() - t0]
+    out[call] = [kind, time.perf_counter() - t0,
+                 None if value is None else [value.real, value.imag]]
 print(json.dumps(out))
 """
 
 
+@pytest.fixture(scope="module")
+def probe_runs():
+    """{backend: outcomes} of the probes run so far in this module."""
+    return {}
+
+
+def _probe(request, probe_runs, backend):
+    """{call: [exception name, seconds, [re, im] of a result's value]} from
+    one subprocess on the backend."""
+    if backend not in probe_runs:
+        root = (SRC_ROOT if backend == "python"
+                else request.getfixturevalue("compiled_package"))
+        out = _run_python(root, "-c", _PROBE, json.dumps(
+            NON_FINITE_CALLS + OVERFLOW_CALLS + tuple(LINE_CALLS)))
+        assert out.returncode == 0, (out.returncode, out.stderr[-2000:])
+        probe_runs[backend] = json.loads(out.stdout)
+    return probe_runs[backend]
+
+
 @pytest.fixture(scope="module", params=("python", "compiled"))
-def probe_outcomes(request):
-    """{call: [exception name, seconds]} from one subprocess on the backend."""
-    backend = request.param
-    root = (SRC_ROOT if backend == "python"
-            else request.getfixturevalue("compiled_package"))
-    out = _run_python(root, "-c", _PROBE,
-                      json.dumps(NON_FINITE_CALLS + OVERFLOW_CALLS))
-    assert out.returncode == 0, (out.returncode, out.stderr[-2000:])
-    return json.loads(out.stdout)
+def probe_outcomes(request, probe_runs):
+    return _probe(request, probe_runs, request.param)
 
 
 @pytest.mark.parametrize("call", NON_FINITE_CALLS)
 def test_non_finite_input_raises_domain_violation(call, probe_outcomes):
-    kind, seconds = probe_outcomes[call]
+    kind, seconds, _ = probe_outcomes[call]
     assert kind == "DomainViolation"
     assert seconds < 1.0
 
 
 @pytest.mark.parametrize("call", OVERFLOW_CALLS)
 def test_overflow_raises_overflow_regime(call, probe_outcomes):
-    kind, seconds = probe_outcomes[call]
+    kind, seconds, _ = probe_outcomes[call]
     assert kind == "OverflowRegime"
     assert seconds < 1.0
+
+
+@pytest.mark.parametrize("call", LINE_CALLS)
+def test_real_s_lines_agree_across_backends(request, probe_runs, call):
+    tol, outcome = LINE_CALLS[call]
+    python, _, a = _probe(request, probe_runs, "python")[call]
+    compiled, _, b = _probe(request, probe_runs, "compiled")[call]
+    assert python == compiled == outcome
+    if outcome == "returned":
+        assert abs(complex(*a) - complex(*b)) <= tol

@@ -2,6 +2,7 @@
 import cmath
 import inspect
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -213,26 +214,112 @@ def _record_segments(monkeypatch):
     return paths
 
 
-@pytest.mark.parametrize("f, c, tol, expect", [
-    (gamma_power(3.0, 0.5), 1.2, 1e-10, 16.0 / 27.0),
+def _record_integrand(monkeypatch):
+    """Record the z of every kernel integrand call."""
+    points = []
+    orig = kernels.integrand
+
+    def recorder(tag, s, p, z, *rest):
+        points.append(z)
+        return orig(tag, s, p, z, *rest)
+
+    monkeypatch.setattr(kernels, "integrand", recorder)
+    return points
+
+
+@pytest.mark.parametrize("f, c, tol, expect, tail", [
+    (gamma_power(3.0, 0.5), 1.2, 1e-10, 16.0 / 27.0, 1.837841085328497e-18),
     (zeta_zeta_gamma(4.0), 1.5, 1e-10,
-     6.0 * (riemann_zeta(3.0).real - math.pi ** 4 / 90.0)),
-    (zeta_gamma_power(4.0, 2.0), 1.5, 1e-10, 6.0 * (math.pi ** 4 / 90.0 - 1.0)),
+     6.0 * (riemann_zeta(3.0).real - math.pi ** 4 / 90.0), 4.300491440480665e-17),
+    (zeta_gamma_power(4.0, 2.0), 1.5, 1e-10, 6.0 * (math.pi ** 4 / 90.0 - 1.0),
+     3.2057639140706965e-17),
 ], ids=["gamma_power", "zeta_zeta_gamma", "zeta_gamma_power"])
-def test_real_s_line_integrates_the_upper_half(monkeypatch, f, c, tol, expect):
-    paths = _record_segments(monkeypatch)
+def test_real_s_line_runs_the_sinh_trapezoid(monkeypatch, f, c, tol, expect,
+                                             tail):
+    points = _record_integrand(monkeypatch)
     r = integrate_vertical(f, VerticalLineSpec(c, tol))
     assert r.value.imag == 0.0
     assert abs(r.value - expect) < tol
-    [(z0, z1)] = paths
-    assert z0 == complex(c) and z1.real == c
-    # the full line at the same tolerance per unit length: the same panels
-    # on each half, plus the root panel the mirror never splits
-    T = z1.imag
-    _, _, n = contour._adaptive_segment(
-        contour._bound_integrand(f), complex(c, -T), complex(c, T),
-        0.5 * tol * contour.TWO_PI, contour.DEFAULT_MAX_EVALUATIONS)
-    assert r.evaluations == (n - 15) // 2 and n % 30 == 15
+    assert r.err_estimate <= tol / 2
+    # the truncation height, and with it the tail bound, of the GK line
+    assert r.tail_bound == tail
+    assert r.evaluations == len(points) <= 129
+    # the upper half only, from the real axis up
+    assert min(z.imag for z in points) == 0.0
+    assert all(z.real == c for z in points)
+
+
+def test_real_s_line_near_a_pole():
+    # c = 1.001 lies 0.001 from the zeta pole at 1; the sinh map spreads the
+    # peak over the u grid
+    f = zeta_zeta_gamma(4.0)
+    expect = 6.0 * (riemann_zeta(3.0).real - math.pi ** 4 / 90.0)
+    r = integrate_vertical(f, VerticalLineSpec(1.001, 1e-12 * expect))
+    assert abs(r.value - expect) < 1e-12 * expect
+    assert r.evaluations <= 129
+
+
+def test_real_s_line_below_the_rounding_floor_raises_early():
+    # u = 0.009 at c = 3.9: int |f| along the line is ~6e6 times the value,
+    # so rtol 1e-8 is below the rounding floor of any sum of its samples
+    f = gamma_power(5.1, 0.009)
+    expect = math.gamma(5.1) * 1.009 ** -5.1
+    with pytest.raises(ToleranceUnreachable, match="rounding floor") as info:
+        integrate_vertical(f, VerticalLineSpec(3.9, 1e-8 * expect))
+    assert 0 < info.value.evaluations <= 64
+    assert f"tol {1e-8 * expect:.3g}" in str(info.value)
+
+
+def test_real_s_line_through_a_pole_is_rejected():
+    # the shifted line Re z = 1.2 - 1.2 runs through the pole at 0, where
+    # GK once spent the whole budget
+    with pytest.raises(PoleOnPath):
+        verify.decay_study("vertical_shift", gamma_power(3.0, 0.5), 1.2,
+                           [0.2, 1.2])
+
+
+def _line_family(rng):
+    """A real-s family with the cancellation of its lines far above the
+    rounding floor (u >= 0.1), and an abscissa anywhere in its strip."""
+    s = rng.uniform(3.2, 8.0)
+    tag = rng.randrange(3)
+    if tag == 0:
+        return gamma_power(s, rng.uniform(0.1, 1.0)), rng.uniform(0.5, s - 0.5)
+    c = rng.uniform(1.0, s - 1.0)
+    if tag == 1:
+        return zeta_zeta_gamma(s), c
+    return zeta_gamma_power(s, rng.uniform(2.0, 5.0)), c
+
+
+def _closed_form(f):
+    s = f.s.real
+    if f.tag == contour.GAMMA_POWER:
+        return math.gamma(s) * (1.0 + f.u) ** -s
+    if f.tag == ZETA_ZETA_GAMMA:
+        return math.gamma(s) * (riemann_zeta(s - 1.0) - riemann_zeta(s)).real
+    return math.gamma(s) * zeta.hurwitz_zeta(s, f.a).real
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_real_s_line_sweep_against_closed_forms_and_gk(monkeypatch, seed):
+    rng = random.Random(seed)
+    for _ in range(8):
+        f, c = _line_family(rng)
+        closed = _closed_form(f)
+        tol = 10.0 ** rng.uniform(-12.0, -8.0) * abs(closed)
+        points = _record_integrand(monkeypatch)
+        r = integrate_vertical(f, VerticalLineSpec(c, tol))
+        monkeypatch.undo()
+        assert r.value.imag == 0.0
+        assert abs(r.value - closed) <= tol
+        assert r.err_estimate <= tol / 2 and r.tail_bound <= tol / 2
+        # GK on the same half line [c, c + iT], at the tolerance per unit
+        # length of the whole line, mirrored the way the trapezoid is
+        T = max(z.imag for z in points)
+        raw, _, _ = contour._adaptive_segment(
+            contour._bound_integrand(f), complex(c), complex(c, T),
+            0.25 * tol * contour.TWO_PI, contour.DEFAULT_MAX_EVALUATIONS)
+        assert abs(r.value.real - raw.imag / math.pi) <= tol
 
 
 def test_real_s_rectangle_integrates_the_upper_half():
@@ -343,12 +430,53 @@ def test_pole_guard_wider_than_two():
 
 
 def test_budget_exhaustion_carries_partial_state():
-    f = zeta_zeta_gamma(4.0)
+    # GK on a complex-s line: panels land in 15-point batches, so the count
+    # may overshoot one round
+    f = zeta_zeta_gamma(complex(4.0, 0.5))
     with pytest.raises(ToleranceUnreachable) as info:
         integrate_vertical(f, VerticalLineSpec(1.5, 1e-13), max_evaluations=60)
-    # panels land in 15-point batches, so the count may overshoot one round
     assert 60 <= info.value.evaluations <= 60 + 30
     assert info.value.partial_value is not None
+    # one panel short of the whole line, the partial value is the line's
+    # value but for the top panel, in the value's 1/(2 pi i) units
+    full = integrate_vertical(f, VerticalLineSpec(1.5, 1e-10))
+    with pytest.raises(ToleranceUnreachable) as info:
+        integrate_vertical(f, VerticalLineSpec(1.5, 1e-10),
+                           max_evaluations=full.evaluations - 15)
+    assert abs(info.value.partial_value - full.value) < 1e-6
+    # the trapezoid on a real-s line does not start a level past the budget:
+    # of its levels of 9, 17 and 33 nodes, it stops at the 17-node level,
+    # which the 33-node one accepts
+    f = zeta_zeta_gamma(4.0)
+    full = integrate_vertical(f, VerticalLineSpec(1.5, 1e-10))
+    assert full.evaluations == 33
+    with pytest.raises(ToleranceUnreachable) as info:
+        integrate_vertical(f, VerticalLineSpec(1.5, 1e-10), max_evaluations=20)
+    assert info.value.evaluations == 17
+    assert info.value.partial_value.imag == 0.0
+    assert abs(info.value.partial_value - full.value) <= full.err_estimate
+
+
+@pytest.mark.parametrize("s", [4.0, complex(4.0, 0.5)], ids=["real", "complex"])
+def test_rectangle_budget_partial_counts_the_finished_legs(s):
+    # a budget that runs out on the first panel of the last leg leaves the
+    # finished legs, in value's units and, for real s, mirrored
+    f = zeta_zeta_gamma(s)
+    rect = RectangleSpec(1.5, 2.0, 10.0)
+    tol = 1e-9
+    c1, c2, c3, _ = rect.corners()
+    if s.imag == 0.0:
+        legs = ((complex(rect.c), c2, 0.125), (c2, c3, 0.25))
+    else:
+        legs = ((c1, c2, 0.25), (c2, c3, 0.25), (c3, rect.corners()[3], 0.25))
+    done = [integrate_segment(f, a, b, share * tol) for a, b, share in legs]
+    with pytest.raises(ToleranceUnreachable) as info:
+        integrate_rectangle(f, rect, tol, max_evaluations=sum(
+            r.evaluations for r in done) + 14)
+    finished = sum(r.value for r in done)
+    if s.imag == 0.0:
+        finished = complex(2.0 * finished.real, 0.0)
+    assert abs(info.value.partial_value - finished) < 1e-15
 
 
 def test_improper_integral_values():
