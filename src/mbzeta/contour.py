@@ -10,8 +10,8 @@ segments, axis-aligned rectangles, and the positive real axis. The left poles
 and zeta(s-z)) at s + n; IntegrandFamily lists both fields, and every point,
 path and circle guard asks it.
 
-Segments, rectangle edges, complex-s lines and the real axis use adaptive
-bisection on an embedded 15-point Kronrod / 7-point Gauss pair; panels are
+Segments, rectangle edges and the real axis use adaptive bisection on an
+embedded 15-point Kronrod / 7-point Gauss pair; panels are
 accepted when the local estimate is below tol * (panel length / total
 length), and panel contributions accumulate in compensated (Neumaier) sums
 in a fixed left-to-right order. For real s the integrand satisfies
@@ -19,12 +19,18 @@ f(conj z) = conj f(z), so rectangles integrate only their upper half, at the
 same tolerance per unit length, and take the full integral as 2i Im of that
 half.
 
-A real-s line uses the same mirror with a nested trapezoid rule instead:
-every pole is real, so y = d sinh(u), d the distance from the line to the
-nearest pole, puts them all on Im u = +-pi/2 and the trapezoid in u converges
-geometrically. Its sums also give the rounding floor of the integral, and a
-tol/2 below FLOOR_FACTOR floors raises ToleranceUnreachable at the first
-level that shows it, instead of spending the evaluation budget.
+Vertical lines run a nested trapezoid rule in a sinh-mapped variable u,
+which converges geometrically in the width of the strip around the line
+where the integrand is analytic. A real-s line uses the same mirror: every
+pole is real, so y = d sinh(u), d the distance from the line to the nearest
+pole, puts them all on Im u = +-pi/2. A complex-s line has poles at two
+heights, 0 and Im s; it subtracts the pole part of each field's nearest pole
+(within SUBTRACT_REACH), adds back that part's exact line integral, and maps
+y = Im s/2 + l sinh(u) over the whole line. The sums also give the rounding
+floor of the integral: a tol/2 below FLOOR_FACTOR floors raises
+ToleranceUnreachable at the first level that shows it, instead of spending
+the evaluation budget, and err_estimate adds KERNEL_ROUNDING floors for the
+kernels' own rounding.
 """
 import cmath
 import math
@@ -34,11 +40,11 @@ from dataclasses import dataclass
 from ._backend import kernels
 from ._kernel_constants import (BERNOULLI_FRACTIONS, GAUSS_WEIGHTS, GK_NODES,
                                 GK_WEIGHTS)
-from .errors import (DomainViolation, PoleOnPath, PoleProximity,
-                     ToleranceUnreachable, overflow_checked, require_finite,
-                     require_tol)
+from .errors import (DomainViolation, OverflowRegime, PoleOnPath,
+                     PoleProximity, ToleranceUnreachable, overflow_checked,
+                     require_finite, require_tol)
 from .specfun import POLE_GUARD
-from .zeta import DEFAULT_CONFIG
+from .zeta import DEFAULT_CONFIG, _bound_zeta, zeta_negative_integer
 
 __all__ = [
     "GAMMA_POWER", "ZETA_ZETA_GAMMA", "ZETA_GAMMA_POWER", "FAMILY_TAGS",
@@ -65,6 +71,29 @@ DEFAULT_MAX_EVALUATIONS = 2_000_000
 # wrong answers (off by 4.4 and 6.5 tol) had tol/2 below 0.45 floors; right
 # ones came from 1.9 floors up, with errors up to 0.39 tol below 8 floors.
 FLOOR_FACTOR = 8.0
+# a trapezoid line's err_estimate adds this many rounding floors for the
+# kernels' own rounding (~1e-14 relative), which the nested levels share and
+# so never show in their difference. Against mpmath at 30 digits, on the
+# 1,608 lines of perfbench's lines workload (seeds 201-208, timed and probe
+# ops) that returned, the worst error beyond the difference was 55 floors,
+# on a real-s line; complex-s lines needed at most 6.
+KERNEL_ROUNDING = 64.0
+# a complex-s line subtracts the pole part of each field's nearest pole
+# closer than this to it; the Gaussian carrier multiplies the integrand's
+# scale by up to e^(reach^2) at the pole's height
+SUBTRACT_REACH = 1.0
+# ... and only if |r|/d, the pole part where the line passes the pole, is
+# within this factor of |f| there. Where the regular part cancels most of
+# the pole part, the carrier adds more rounding than it removes singularity:
+# a gamma_power line (u = 0.098, Im s = -35.7) passing 0.95 from s had
+# |r|/d = 286 |f|, and the carrier's floor made its reachable tol raise. On
+# 3,942 timed complex-s ops of perfbench's lines workload (seeds 701-710,
+# 8 blocks each), the factor 16 left every tol/2 at least 17 times above
+# FLOOR_FACTOR floors (6.1 without it), for 492 evaluations on average
+# instead of 474.
+SUBTRACT_MAX_RATIO = 16.0
+# least scale of a complex-s line's sinh map
+SINH_MIN_SCALE = 4.0
 
 
 @dataclass(frozen=True)
@@ -93,8 +122,9 @@ class IntegrandFamily:
         elif self.tag == ZETA_GAMMA_POWER:
             if s.real <= 2.0:
                 raise DomainViolation(f"zeta_gamma_power needs Re(s) > 2, got {s}")
-            if self.a is None or self.a < 2.0:
-                raise DomainViolation(f"zeta_gamma_power needs a >= 2, got {self.a}")
+            if self.a is None or not 2.0 <= self.a < math.inf:
+                raise DomainViolation(
+                    f"zeta_gamma_power needs a finite a >= 2, got {self.a}")
             if self.u is not None:
                 raise DomainViolation("zeta_gamma_power takes no parameter u")
         else:
@@ -121,24 +151,30 @@ class IntegrandFamily:
         """
         return _field(self.tag != GAMMA_POWER, lo, hi)
 
-    def right_poles(self, lo, hi):
-        """The right poles with lo <= Re <= hi, ascending, as complex points:
-        s + n for n >= 0 from Gamma(s-z) and, for zeta_zeta_gamma, s - 1 from
-        zeta(s-z), whose trivial zeros cancel s + n for even n >= 2."""
-        # z -> s - z maps them onto the left field of Gamma or zeta Gamma
-        sr = self.s.real
-        return [self.s - n for n in
-                reversed(_field(self.tag == ZETA_ZETA_GAMMA, sr - hi, sr - lo))]
+    def poles_around(self, x_left, x_right):
+        """The left-field poles around Re z = x_left and the right-field
+        poles around Re z = x_right, as two lists of complex points, each in
+        ascending order of its field's member. The right poles are s - q for
+        the members q of the left field of Gamma, or for zeta_zeta_gamma of
+        zeta Gamma: s + n for n >= 0 from Gamma(s-z), and s - 1 from
+        zeta(s-z), whose trivial zeros cancel s + n for even n >= 2.
 
-    def all_poles(self, lo, hi):
-        """The poles of both fields with lo <= Re <= hi, as complex points."""
-        return [complex(n) for n in self.poles(lo, hi)] + self.right_poles(lo, hi)
+        Each list holds its field's members on both sides of the abscissa
+        and next to it, so the two members nearest to any point on that
+        vertical, and holds a handful of poles however far the abscissa
+        lies.
+        """
+        s = self.s
+        return ([complex(n) for n in _window(self.tag != GAMMA_POWER, x_left)],
+                [s - q for q in
+                 _window(self.tag == ZETA_ZETA_GAMMA, s.real - x_right)])
 
     def nearest_pole(self, z):
-        """Closest pole of either field to z."""
+        """Closest pole of either field to z, the lower member on ties."""
         z = complex(z)
-        left = _nearest(self.tag != GAMMA_POWER, z)
-        right = self.s - _nearest(self.tag == ZETA_ZETA_GAMMA, self.s - z)
+        left, right = self.poles_around(z.real, z.real)
+        left = min(left, key=lambda p: abs(z - p))
+        right = min(right, key=lambda p: abs(z - p))
         return left if abs(z - left) <= abs(z - right) else right
 
 
@@ -151,14 +187,13 @@ def _field(with_zeta, lo, hi):
             if not with_zeta or n >= 0 or n % 2]
 
 
-def _nearest(with_zeta, w):
-    """The member of _field(with_zeta, ...) closest to w, the lower on ties."""
-    # left of Re w = -1/2 the window round(Re w) +- 2 holds the nearest
-    # member, as consecutive members are at most 2 apart; right of it the
-    # window holds every member >= -2, up to where the field ends
-    n = round(w.real)
-    near = _field(with_zeta, min(n, 0) - 2, n + 2)
-    return complex(min(near, key=lambda p: abs(w - p)))
+def _window(with_zeta, x):
+    """The members of _field(with_zeta, ...) within 2 of round(x), or every
+    member >= -2 when x is right of -1/2: consecutive members are at most 2
+    apart and the field ends at 0 or 1, so these include the members just
+    below and just above x, and the two nearest to it."""
+    n = round(x)
+    return _field(with_zeta, min(n, 0) - 2, n + 2)
 
 
 def gamma_power(s, u):
@@ -202,6 +237,7 @@ class RectangleSpec:
     T: float
 
     def __post_init__(self):
+        require_finite(c=self.c, k=self.k, T=self.T)
         if not (self.k > 0.0 and self.T > 0.0):
             raise DomainViolation("rectangle needs k > 0 and T > 0")
 
@@ -335,7 +371,7 @@ def _walk(fn, legs, tol, max_evaluations, mirrored=False):
     mirrored: the legs are the upper half of a real-s path, whose lower half
     adds minus the conjugate of the upper half's integral, so the whole raw
     integral is 2i Im of it. A ToleranceUnreachable carries the finished legs
-    plus the partial one, in value's units.
+    plus the partial one, in value's units, and all their evaluations.
     """
     def normalized(raw):
         if mirrored:
@@ -351,6 +387,7 @@ def _walk(fn, legs, tol, max_evaluations, mirrored=False):
                                           max_evaluations - evals)
         except ToleranceUnreachable as exc:
             exc.partial_value = normalized(value + exc.partial_value)
+            exc.evaluations += evals
             raise
         value += raw
         err += e
@@ -363,17 +400,19 @@ def _walk(fn, legs, tol, max_evaluations, mirrored=False):
 def _nested_trapezoid(term, n, nodes, scale, tol, max_evaluations, what,
                       floor_factor=0.0):
     """(value, err, evals) of the nested trapezoid sums
-    Q_n = scale * sum_j term(j, n) / n, at the first level within tol of the
-    level before it.
+    Q_n = scale * sum_j term(j, n)[0] / n, at the first level within tol of
+    the level before it.
 
-    The first level sums term(j, n) over j in range(nodes). Each doubling
-    keeps the running sum, whose nodes are the even j of the finer grid, and
-    evaluates only the odd j in range(1, 2n, 2). The rounding floor of a
-    level is eps * scale * sum_j |term(j, n)| / n; err is the larger of it
-    and the last difference, and a level raises ToleranceUnreachable when tol
-    is below floor_factor times its floor. A level that would take the
-    evaluation count beyond max_evaluations is not started: the raise carries
-    the last level's value.
+    term(j, n) is a pair: the weighted integrand at node j and the magnitude
+    its rounding scales with. The first level sums terms over j in
+    range(nodes). Each doubling keeps the running sums, whose nodes are the
+    even j of the finer grid, and evaluates only the odd j in
+    range(1, 2n, 2). The rounding floor of a level is
+    eps * scale * sum_j term(j, n)[1] / n; err is the larger of it and the
+    last difference, plus KERNEL_ROUNDING floors, and a level raises
+    ToleranceUnreachable when tol is below floor_factor times its floor. A
+    level that would take the evaluation count beyond max_evaluations is not
+    started: the raise carries the last level's value.
     """
     if nodes > max_evaluations:
         raise ToleranceUnreachable(
@@ -387,8 +426,8 @@ def _nested_trapezoid(term, n, nodes, scale, tol, max_evaluations, what,
     while True:
         terms = [term(j, n) for j in js]
         evals += len(terms)
-        acc += sum(terms)
-        mass += sum(map(abs, terms))
+        acc += sum(v for v, _ in terms)
+        mass += sum(m for _, m in terms)
         cur = acc * scale / n
         floor = EPS * scale * mass / n
         if tol < floor_factor * floor:
@@ -398,7 +437,8 @@ def _nested_trapezoid(term, n, nodes, scale, tol, max_evaluations, what,
                 partial_value=cur,
                 evaluations=evals)
         if prev is not None and abs(cur - prev) < tol:
-            return cur, max(abs(cur - prev), floor), evals
+            return (cur, max(abs(cur - prev), floor) + KERNEL_ROUNDING * floor,
+                    evals)
         prev = cur
         if evals + n > max_evaluations:
             raise ToleranceUnreachable(
@@ -408,13 +448,25 @@ def _nested_trapezoid(term, n, nodes, scale, tol, max_evaluations, what,
         js = range(1, n, 2)
 
 
-def _segment_pole_distance(f, z0, z1, reach=2.0):
-    """Min distance from the family's poles to segment [z0, z1]; exact when
-    it is at most reach, and otherwise only known to exceed reach."""
-    lo = min(z0.real, z1.real) - reach
-    hi = max(z0.real, z1.real) + reach
-    return min((_point_segment_distance(p, z0, z1)
-                for p in f.all_poles(lo, hi)), default=math.inf)
+def _segment_pole_distance(f, z0, z1):
+    """Min distance from the family's poles to the segment [z0, z1].
+
+    Each field lies on one horizontal, at height 0 or Im s, and the distance
+    from x + ih to the segment is convex in x; so over a field it is least at
+    one of the members just below and just above an x where the segment
+    comes closest to the horizontal.
+    """
+    left, right = f.poles_around(_closest_abscissa(z0, z1, 0.0),
+                                 _closest_abscissa(z0, z1, f.s.imag))
+    return min(_point_segment_distance(p, z0, z1) for p in left + right)
+
+
+def _closest_abscissa(z0, z1, h):
+    """An x at which x + ih is nearest to the segment [z0, z1]."""
+    y0, y1 = z0.imag - h, z1.imag - h
+    if y0 != y1 and min(y0, y1) <= 0.0 <= max(y0, y1):
+        return z0.real + (z1.real - z0.real) * y0 / (y0 - y1)
+    return z0.real if abs(y0) <= abs(y1) else z1.real
 
 
 def _point_segment_distance(p, z0, z1):
@@ -433,8 +485,9 @@ def integrate_segment(f, z0, z1, tol=1e-10,
     """Oriented straight-line integral of the integrand, normalized by 1/(2*pi*i)."""
     z0 = complex(z0)
     z1 = complex(z1)
+    require_finite(z0=z0, z1=z1)
     require_tol(tol)
-    if _segment_pole_distance(f, z0, z1, pole_guard) <= pole_guard:
+    if _segment_pole_distance(f, z0, z1) <= pole_guard:
         raise PoleOnPath(f"segment [{z0}, {z1}] passes within {pole_guard} of a pole")
     value, err, n = _walk(_bound_integrand(f), ((z0, z1, 1.0),), tol,
                           max_evaluations)
@@ -452,7 +505,8 @@ def _pair_tail_bound(x0, s, T, extra):
     c = sig - x0 - 0.5      # |y -+ Im s| exponent from Gamma(s-z)
     if T <= ts + 5.0 or T < 10.0:
         return math.inf
-    pre = _MODULUS_K * _MODULUS_K * math.exp(math.pi * ts / 2.0)
+    pre = _MODULUS_K * _MODULUS_K * overflow_checked(math.exp,
+                                                     math.pi * ts / 2.0)
     growth = max(a, 0.0) + max(c, 0.0)
     pre *= T ** min(a, 0.0) * (T + ts) ** min(c, 0.0)
     denom = math.pi - growth / (T + ts)
@@ -473,6 +527,56 @@ def _line_extra_const(f, x0):
     return z_left * (f.a - 1.0) ** (x0 - f.s.real)
 
 
+def _gamma_value(w):
+    if w.real > 170.0:
+        raise OverflowRegime(f"Gamma({w}) overflows binary64")
+    return cmath.exp(kernels.loggamma(w))
+
+
+def _left_residue(f, n):
+    """(residue of the integrand at the left-field pole n, kernel calls
+    made): Res Gamma(z) at -m is (-1)^m / m!, and zeta's pole at 1 has
+    residue 1; residues.residue_at reports these."""
+    s = f.s
+    n = round(n.real)
+    if f.tag == GAMMA_POWER:
+        m = -n
+        return (((-1) ** m) / math.factorial(m)) * _gamma_value(s + m) * f.u ** m, 1
+    zeta = _bound_zeta(DEFAULT_CONFIG)
+    am1 = (f.a - 1.0) if f.tag == ZETA_GAMMA_POWER else None
+    if n == 1:
+        value = _gamma_value(s - 1.0)
+        value *= zeta(s - 1.0) if f.tag == ZETA_ZETA_GAMMA else am1 ** (1.0 - s)
+    elif n == 0:
+        value = -0.5 * _gamma_value(s)
+        value *= zeta(s) if f.tag == ZETA_ZETA_GAMMA else am1 ** (-s)
+    else:
+        m = (-n - 1) // 2
+        value = (-float(zeta_negative_integer(2 * m + 1)) * _gamma_value(s + 2 * m + 1)
+                 / math.factorial(2 * m + 1))
+        value *= (zeta(s + 2 * m + 1) if f.tag == ZETA_ZETA_GAMMA
+                  else am1 ** (-s - 2 * m - 1))
+    return value, 1 + (f.tag == ZETA_ZETA_GAMMA)
+
+
+def _right_residue(f, p):
+    """(residue of the integrand at the right-field pole p, kernel calls
+    made), through z -> s - z, which maps p onto the left-field member
+    s - p."""
+    s = f.s
+    if f.tag == ZETA_ZETA_GAMMA:
+        # the integrand is symmetric under z -> s - z
+        r, calls = _left_residue(f, s - p)
+        return -r, calls
+    # Gamma(s - z) at z = s + n is -(-1)^n / n! / (z - s - n)
+    n = round(p.real - s.real)
+    w = s + n
+    r = -(((-1) ** n) / math.factorial(n)) * _gamma_value(w)
+    if f.tag == GAMMA_POWER:
+        return r * f.u ** (-w), 1
+    return r * _bound_zeta(DEFAULT_CONFIG)(w) * (f.a - 1.0) ** n, 2
+
+
 def _integrate_vertical_unchecked(f, x0, tol,
                                   max_evaluations=DEFAULT_MAX_EVALUATIONS):
     # Core of integrate_vertical without the convergence-strip validation.
@@ -487,14 +591,16 @@ def _integrate_vertical_unchecked(f, x0, tol,
             raise ToleranceUnreachable(
                 f"tail bound will not reach {tol} at practical heights")
     tail = _pair_tail_bound(x0, f.s, T, extra)
-    fn = _bound_integrand(f)
-    if f.s.imag != 0.0:
-        value, err, n = _walk(fn, ((complex(x0, -T), complex(x0, T), 0.5),),
-                              tol, max_evaluations)
-        return QuadratureResult(value, err, tail, n)
+    line = _real_s_line if f.s.imag == 0.0 else _complex_s_line
+    value, err, n = line(f, x0, T, tol, max_evaluations)
+    return QuadratureResult(value, err, tail, n)
+
+
+def _real_s_line(f, x0, T, tol, max_evaluations):
     # f(conj z) = conj f(z), so the line integral is (1/2pi) int Re f(x0+iy)
     # dy, an even integrand; y = d sinh(u) puts every pole, all of them real,
     # on Im u = +-pi/2, where the trapezoid in u converges geometrically
+    fn = _bound_integrand(f)
     d = abs(x0 - f.nearest_pole(x0))
     if d <= POLE_GUARD:
         raise PoleOnPath(f"line Re z = {x0} passes within {POLE_GUARD} of a pole")
@@ -503,13 +609,79 @@ def _integrate_vertical_unchecked(f, x0, tol,
     def term(j, n):
         u = j * U / n
         g = fn(complex(x0, d * math.sinh(u))).real * d * math.cosh(u)
-        return 2.0 * g if j else g
+        if j:
+            g *= 2.0
+        return g, abs(g)
 
     value, err, n = _nested_trapezoid(term, 8, 9, U / TWO_PI, 0.5 * tol,
                                       max_evaluations,
                                       f"line Re z = {x0}, tol {tol:.3g}",
                                       FLOOR_FACTOR)
-    return QuadratureResult(complex(value, 0.0), err, tail, n)
+    return complex(value, 0.0), err, n
+
+
+def _complex_s_line(f, x0, T, tol, max_evaluations):
+    # The poles sit at two heights, 0 (left field) and Im s (right field).
+    # The nearest pole p of each field, if closer than SUBTRACT_REACH and
+    # within SUBTRACT_MAX_RATIO of the integrand where the line passes it, is
+    # taken out as G(z) = r e^((z-p)^2) / (z-p), r its residue: G carries the
+    # pole, decays like a Gaussian along the line, and has the exact line
+    # integral +-r/2, by the sign of x0 - Re p. The rest is analytic in a
+    # wide strip, and one sinh map centred between the heights concentrates
+    # the nodes where it varies. Beyond +-T, which clears both heights by at
+    # least 10, G has mass below e^(1 - 100) |r|, far below the rounding
+    # floor eps |r| of the subtraction itself.
+    fn = _bound_integrand(f)
+    left, right = f.poles_around(x0, x0)
+    parts = []
+    added = 0j
+    calls = 0
+    for p, residue in ((min(left, key=lambda p: abs(x0 - p)), _left_residue),
+                       (min(right, key=lambda p: abs(x0 - p.real)),
+                        _right_residue)):
+        d = x0 - p.real
+        if abs(d) <= POLE_GUARD:
+            raise PoleOnPath(
+                f"line Re z = {x0} passes within {POLE_GUARD} of the pole {p}")
+        if abs(d) < SUBTRACT_REACH:
+            r, k = residue(f, p)
+            calls += k + 1
+            if abs(r) <= SUBTRACT_MAX_RATIO * abs(d * fn(complex(x0, p.imag))):
+                parts.append((p, r))
+                added += math.copysign(0.5, d) * r
+    mid = 0.5 * f.s.imag
+    scale = max(abs(mid), SINH_MIN_SCALE)
+    u0 = math.asinh((-T - mid) / scale)
+    U = math.asinh((T - mid) / scale) - u0
+
+    def term(j, n):
+        u = u0 + j * U / n
+        z = complex(x0, mid + scale * math.sinh(u))
+        v = fn(z)
+        # the floor counts the subtracted parts' own size: the difference
+        # rounds like its terms, however much of them cancels
+        mag = abs(v)
+        for p, r in parts:
+            w = z - p
+            g = r * cmath.exp(w * w) / w
+            v -= g
+            mag += abs(g)
+        jac = scale * math.cosh(u)
+        if j == 0 or j == n:
+            jac *= 0.5
+        return v * jac, mag * jac
+
+    try:
+        value, err, n = _nested_trapezoid(term, 16, 17, U / TWO_PI, 0.5 * tol,
+                                          max_evaluations - calls,
+                                          f"line Re z = {x0}, tol {tol:.3g}",
+                                          FLOOR_FACTOR)
+    except ToleranceUnreachable as exc:
+        if exc.partial_value is not None:
+            exc.partial_value += added
+        exc.evaluations += calls
+        raise
+    return value + added, err, n + calls
 
 
 def integrate_vertical(f, line, max_evaluations=DEFAULT_MAX_EVALUATIONS):
@@ -517,10 +689,14 @@ def integrate_vertical(f, line, max_evaluations=DEFAULT_MAX_EVALUATIONS):
 
     The line is truncated at the smallest height T (stepped by 2 from
     max(|Im s| + 10, 15)) whose analytic Gamma-pair tail bound is <= tol/2;
-    the finite part is integrated to err_estimate <= tol/2: by adaptive
-    Gauss-Kronrod for complex s, by a nested sinh-mapped trapezoid for real
-    s, which raises ToleranceUnreachable when tol/2 is below FLOOR_FACTOR
-    times its rounding floor.
+    the finite part runs a nested sinh-mapped trapezoid until two levels
+    agree within tol/2: on the upper half line for real s, and for complex s
+    on the whole line, less the pole parts of the nearest poles, whose exact
+    line integrals are added back. evaluations counts every kernel call,
+    those for the residues of the subtracted poles too. err_estimate is the
+    last difference or the rounding floor eps * int |f|, whichever is
+    larger, plus KERNEL_ROUNDING floors; a tol/2 below FLOOR_FACTOR floors
+    raises ToleranceUnreachable.
     """
     line.validate_for(f)
     return _integrate_vertical_unchecked(f, line.c, line.tol, max_evaluations)
@@ -535,7 +711,7 @@ def integrate_rectangle(f, rect, tol=1e-9,
     c1, c2, c3, c4 = rect.corners()
     edges = ((c1, c2), (c2, c3), (c3, c4), (c4, c1))
     for a, b in edges:
-        if _segment_pole_distance(f, a, b, pole_guard) <= pole_guard:
+        if _segment_pole_distance(f, a, b) <= pole_guard:
             raise PoleOnPath(
                 f"rectangle edge [{a}, {b}] passes within {pole_guard} of a pole")
     mirrored = f.s.imag == 0.0
@@ -612,11 +788,17 @@ def integrate_real_improper(s, tol=1e-10,
     Tc = max(30.0, 2.0 * sig)
     while tail_cut_bound(Tc) > 0.25 * tol:
         Tc += 5.0
-    v1, e1, n1 = _adaptive_segment(remainder, complex(0.0), complex(eps),
-                                   0.25 * tol, max_evaluations)
-    v2, e2, n2 = _adaptive_segment(middle, complex(eps), complex(1.0),
-                                   0.25 * tol, max_evaluations - n1)
-    v3, e3, n3 = _adaptive_segment(middle, complex(1.0), complex(Tc),
-                                   0.25 * tol, max_evaluations - n1 - n2)
-    return QuadratureResult(head + v1 + v2 + v3, e1 + e2 + e3,
-                            tail_cut_bound(Tc), n1 + n2 + n3)
+    value, err, evals = head, 0.0, 0
+    for fn, a, b in ((remainder, 0.0, eps), (middle, eps, 1.0),
+                     (middle, 1.0, Tc)):
+        try:
+            v, e, n = _adaptive_segment(fn, complex(a), complex(b), 0.25 * tol,
+                                        max_evaluations - evals)
+        except ToleranceUnreachable as exc:
+            exc.partial_value += value
+            exc.evaluations += evals
+            raise
+        value += v
+        err += e
+        evals += n
+    return QuadratureResult(value, err, tail_cut_bound(Tc), evals)

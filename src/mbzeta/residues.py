@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .contour import (GAMMA_POWER, ZETA_GAMMA_POWER, ZETA_ZETA_GAMMA,
-                      _bound_integrand, _nested_trapezoid)
+from .contour import (GAMMA_POWER, _bound_integrand, _left_residue,
+                      _nested_trapezoid)
 from .errors import (DomainViolation, NotAPole, OverflowRegime, PoleOnBoundary,
                      PoleOnCircle, require_finite, require_tol)
 from .specfun import POLE_GUARD
@@ -83,8 +83,11 @@ def enumerate_poles(f, rect):
     its residue sum would miss that pole.
     """
     right, left = rect.c, rect.left
-    for p in f.right_poles(left - POLE_GUARD, right + POLE_GUARD):
-        if abs(p.imag) <= rect.T + POLE_GUARD:
+    # the right-field poles around the right edge hold the rightmost one
+    # left of it, and any in reach do if one does
+    for p in f.poles_around(right, right + POLE_GUARD)[1]:
+        if (left - POLE_GUARD <= p.real <= right + POLE_GUARD
+                and abs(p.imag) <= rect.T + POLE_GUARD):
             raise DomainViolation(
                 f"rectangle reaches the right-field pole at {p}; residue sums "
                 f"cover the left field only")
@@ -98,12 +101,6 @@ def enumerate_poles(f, rect):
             for n in f.poles(left + POLE_GUARD, right - POLE_GUARD)]
 
 
-def _gamma_value(w):
-    if w.real > 170.0:
-        raise OverflowRegime(f"Gamma({w}) overflows binary64")
-    return cmath.exp(kernels.loggamma(w))
-
-
 def residue_at(f, p):
     """Closed-form residue of the family integrand at the pole p.
 
@@ -113,27 +110,7 @@ def residue_at(f, p):
         p = classify_pole(f, p)
     elif not f.is_pole(p.position) or classify_pole(f, p.position).kind != p.kind:
         raise NotAPole(f"{p} is not a pole of {f.tag}")
-    s = f.s
-    n = p.position
-    zeta = _bound_zeta(DEFAULT_CONFIG)
-    if f.tag == GAMMA_POWER:
-        m = -n
-        value = (((-1) ** m) / math.factorial(m)) * _gamma_value(s + m) * f.u ** m
-        return ResidueTerm(p, value)
-    am1 = (f.a - 1.0) if f.tag == ZETA_GAMMA_POWER else None
-    if n == 1:
-        value = _gamma_value(s - 1.0)
-        value *= zeta(s - 1.0) if f.tag == ZETA_ZETA_GAMMA else am1 ** (1.0 - s)
-    elif n == 0:
-        value = -0.5 * _gamma_value(s)
-        value *= zeta(s) if f.tag == ZETA_ZETA_GAMMA else am1 ** (-s)
-    else:
-        m = (-n - 1) // 2
-        value = (-float(zeta_negative_integer(2 * m + 1)) * _gamma_value(s + 2 * m + 1)
-                 / math.factorial(2 * m + 1))
-        value *= (zeta(s + 2 * m + 1) if f.tag == ZETA_ZETA_GAMMA
-                  else am1 ** (-s - 2 * m - 1))
-    return ResidueTerm(p, value)
+    return ResidueTerm(p, _left_residue(f, p.position)[0])
 
 
 def numerical_residue(f, z0, radius=0.3, tol=1e-10):
@@ -149,8 +126,10 @@ def numerical_residue(f, z0, radius=0.3, tol=1e-10):
     if radius <= 0.0:
         raise DomainViolation("radius must be positive")
     require_tol(tol)
+    # if the second nearest pole is beyond the circle, so is every other
     enclosed = []
-    for p in f.all_poles(z0.real - radius - 1, z0.real + radius + 1):
+    left, right = f.poles_around(z0.real, z0.real)
+    for p in sorted(left + right, key=lambda p: abs(z0 - p))[:2]:
         d = abs(z0 - p)
         if abs(d - radius) <= POLE_GUARD:
             raise PoleOnCircle(f"pole at {p} within {POLE_GUARD} of the circle")
@@ -163,7 +142,8 @@ def numerical_residue(f, z0, radius=0.3, tol=1e-10):
 
     def term(j, n):
         w = cmath.exp(2j * math.pi * j / n)
-        return fn(z0 + radius * w) * radius * w
+        v = fn(z0 + radius * w) * radius * w
+        return v, abs(v)
 
     # 16 nodes to start, doubled up to the 16384 of the finest grid
     value, _, _ = _nested_trapezoid(term, 16, 16, 1.0, tol, 16384,

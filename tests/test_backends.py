@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import mbzeta
-from mbzeta import BACKEND, _purepy
+from mbzeta import BACKEND, _purepy, errors
 from mbzeta.zeta import DEFAULT_CONFIG, ZetaEvalConfig
 
 SRC_ROOT = Path(mbzeta.__file__).resolve().parents[1]
@@ -228,6 +228,18 @@ NON_FINITE_CALLS = (
     "zeta.double_sum_oracle(nan)",
     "specfun.gamma_pole_residue(nan)",
     "zeta.zeta_negative_integer(nan)",
+    "contour.integrate_rectangle(contour.gamma_power(3, .5), "
+    "contour.RectangleSpec(nan, 1, 1))",
+    "residues.enumerate_poles(contour.gamma_power(3, .5), "
+    "contour.RectangleSpec(nan, 1, 1))",
+    "verify.check_rectangle(contour.gamma_power(3, .5), "
+    "contour.RectangleSpec(nan, 1, 1))",
+    "contour.RectangleSpec(1, inf, 1)",
+    "contour.RectangleSpec(1, 1, inf)",
+    "contour.integrate_segment(contour.gamma_power(3, .5), nan, 1+1j)",
+    "contour.integrate_segment(contour.gamma_power(3, .5), complex(1, inf), 1+1j)",
+    "contour.zeta_gamma_power(4, nan)",
+    "contour.zeta_gamma_power(4, inf)",
 )
 # Finite input whose value overflows binary64 must raise OverflowRegime, in
 # the same probe.
@@ -238,10 +250,20 @@ OVERFLOW_CALLS = (
     "zeta.riemann_zeta(-200.0)",
     "zeta.riemann_zeta(-400.0)",
     "contour.integrand_eval(contour.zeta_zeta_gamma(4), complex(-300, 0.5))",
+    "contour.integrate_vertical(contour.gamma_power(3+1e6j, 0.5), "
+    "contour.VerticalLineSpec(1.0, 1e-8))",
 )
-# Real-s lines, one per family, and one whose tol is below its rounding floor,
-# in the same probe: {call: (tol, outcome)}. Both backends must give the
-# outcome, and values within tol of each other.
+# Inputs whose pole scans once grew with their size, until they exhausted
+# memory: each must return, or raise a named MBZetaError, within a second.
+HUGE_CALLS = (
+    "residues.numerical_residue(contour.gamma_power(3, 0.5), 0j, 1e308, 1e-8)",
+    "contour.integrate_segment(contour.gamma_power(3, .5), -1e9, -0.5)",
+    "contour.integrate_rectangle(contour.gamma_power(3, .5), "
+    "contour.RectangleSpec(1.5, 1e9 + 1.5, 1.0))",
+)
+# Real-s and complex-s lines, one per family each, and one whose tol is
+# below its rounding floor, in the same probe: {call: (tol, outcome)}. Both
+# backends must give the outcome, and values within tol of each other.
 LINE_CALLS = {
     "contour.integrate_vertical(contour.gamma_power(3, 0.5), "
     "contour.VerticalLineSpec(1.2, 1e-10))": (1e-10, "returned"),
@@ -251,17 +273,35 @@ LINE_CALLS = {
     "contour.VerticalLineSpec(1.5, 1e-10))": (1e-10, "returned"),
     "contour.integrate_vertical(contour.gamma_power(5.1, 0.009), "
     "contour.VerticalLineSpec(3.9, 2.5e-7))": (2.5e-7, "ToleranceUnreachable"),
+    "contour.integrate_vertical(contour.gamma_power(3+1j, 0.7), "
+    "contour.VerticalLineSpec(1.2, 1e-10))": (1e-10, "returned"),
+    "contour.integrate_vertical(contour.zeta_zeta_gamma(4+2j), "
+    "contour.VerticalLineSpec(1.5, 1e-10))": (1e-10, "returned"),
+    "contour.integrate_vertical(contour.zeta_gamma_power(4+3j, 2.5), "
+    "contour.VerticalLineSpec(1.5, 1e-10))": (1e-10, "returned"),
 }
 _PROBE = """
-import json, math, sys, time
-from mbzeta import contour, residues, specfun, zeta
+import json, math, resource, signal, sys, time
+from mbzeta import contour, residues, specfun, verify, zeta
+# a call that allocates or runs without bound ends as MemoryError or
+# TimeoutError here, not by taking the machine or the test run with it
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def timeout(signum, frame):
+    raise TimeoutError
+
+
+signal.signal(signal.SIGALRM, timeout)
 nan, inf, out = math.nan, math.inf, {}
 for call in json.loads(sys.argv[1]):
     t0, kind, value = time.perf_counter(), "returned", None
+    signal.alarm(10)
     try:
         value = getattr(eval(call), "value", None)
     except Exception as exc:
         kind = type(exc).__name__
+    signal.alarm(0)
     out[call] = [kind, time.perf_counter() - t0,
                  None if value is None else [value.real, value.imag]]
 print(json.dumps(out))
@@ -281,7 +321,7 @@ def _probe(request, probe_runs, backend):
         root = (SRC_ROOT if backend == "python"
                 else request.getfixturevalue("compiled_package"))
         out = _run_python(root, "-c", _PROBE, json.dumps(
-            NON_FINITE_CALLS + OVERFLOW_CALLS + tuple(LINE_CALLS)))
+            NON_FINITE_CALLS + OVERFLOW_CALLS + HUGE_CALLS + tuple(LINE_CALLS)))
         assert out.returncode == 0, (out.returncode, out.stderr[-2000:])
         probe_runs[backend] = json.loads(out.stdout)
     return probe_runs[backend]
@@ -306,8 +346,19 @@ def test_overflow_raises_overflow_regime(call, probe_outcomes):
     assert seconds < 1.0
 
 
+_NAMED_ERRORS = {name for name, obj in vars(errors).items()
+                 if isinstance(obj, type) and issubclass(obj, errors.MBZetaError)}
+
+
+@pytest.mark.parametrize("call", HUGE_CALLS)
+def test_huge_input_scans_stay_bounded(call, probe_outcomes):
+    kind, seconds, _ = probe_outcomes[call]
+    assert kind in _NAMED_ERRORS | {"returned"}
+    assert seconds < 1.0
+
+
 @pytest.mark.parametrize("call", LINE_CALLS)
-def test_real_s_lines_agree_across_backends(request, probe_runs, call):
+def test_lines_agree_across_backends(request, probe_runs, call):
     tol, outcome = LINE_CALLS[call]
     python, _, a = _probe(request, probe_runs, "python")[call]
     compiled, _, b = _probe(request, probe_runs, "compiled")[call]

@@ -3,6 +3,7 @@ import cmath
 import inspect
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -74,16 +75,19 @@ def test_pole_walk_matches_brute_force(f, lo, hi, z0, z1):
     brute = _all_poles(f)
     right = _right_poles(f)
     assert f.poles(lo, hi) == [n for n in brute if lo <= n <= hi]
-    assert f.right_poles(lo, hi) == [p for p in right if lo <= p.real <= hi]
     both = [complex(n) for n in brute] + right
     near = f.nearest_pole(z0)
     assert near in both and abs(z0 - near) == min(abs(z0 - p) for p in both)
-    d = _segment_pole_distance(f, z0, z1)
-    best = min(_point_segment_distance(p, z0, z1) for p in both)
-    if best <= 2.0:
-        assert d == best
-    else:
-        assert d > 2.0
+    # the scan reads a few poles around where the segment comes closest to
+    # each field, so it may pick a different pole among those whose
+    # distances differ only by the rounding of the coordinates
+    assert _segment_pole_distance(f, z0, z1) == pytest.approx(
+        min(_point_segment_distance(p, z0, z1) for p in both),
+        rel=0.0, abs=1e-12 * (1.0 + abs(z0) + abs(z1)))
+    # the disk check of numerical_residue reads the two nearest poles
+    left, right = f.poles_around(z0.real, z0.real)
+    near = sorted(abs(z0 - p) for p in left + right)[:2]
+    assert near == sorted(abs(z0 - p) for p in both)[:2]
 
 
 def test_line_spec_validation():
@@ -322,6 +326,222 @@ def test_real_s_line_sweep_against_closed_forms_and_gk(monkeypatch, seed):
         assert abs(r.value.real - raw.imag / math.pi) <= tol
 
 
+def _complex_closed_form(f):
+    s = f.s
+    g = cmath.exp(specfun.log_gamma(s))
+    if f.tag == contour.GAMMA_POWER:
+        return g * (1.0 + f.u) ** -s
+    if f.tag == ZETA_ZETA_GAMMA:
+        return g * (riemann_zeta(s - 1.0) - riemann_zeta(s))
+    return g * zeta.hurwitz_zeta(s, f.a)
+
+
+def _record_kernel_calls(monkeypatch):
+    """Record the outermost kernel calls (integrand, loggamma, riemann_zeta)
+    as (name, z), leaving out those of the line's tail-bound constant."""
+    calls = []
+    depth = [0]
+
+    def nested(name, orig):
+        def recorder(*args):
+            if depth[0] == 0 and name:
+                calls.append((name, args[3] if name == "integrand" else args[0]))
+            depth[0] += 1
+            try:
+                return orig(*args)
+            finally:
+                depth[0] -= 1
+        return recorder
+
+    for name in ("integrand", "loggamma", "riemann_zeta"):
+        monkeypatch.setattr(kernels, name, nested(name, getattr(kernels, name)))
+    monkeypatch.setattr(contour, "_line_extra_const",
+                        nested(None, contour._line_extra_const))
+    return calls
+
+
+def _gk_truncation(f, c, tol):
+    """The height T and tail bound that the GK line used: the least
+    max(|Im s| + 10, 15) + 2k whose tail bound is at most tol/2."""
+    extra = contour._line_extra_const(f, c)
+    T = max(abs(f.s.imag) + 10.0, 15.0)
+    while contour._pair_tail_bound(c, f.s, T, extra) > 0.5 * tol:
+        T += 2.0
+    return T, contour._pair_tail_bound(c, f.s, T, extra)
+
+
+@pytest.mark.parametrize("f, c, tail, near", [
+    (gamma_power(complex(3.0, 1.0), 0.7), 1.2, 6.6988235619712805e-18, []),
+    (zeta_zeta_gamma(complex(4.0, 2.0)), 1.5, 1.4371674881522433e-15, [1.0]),
+    (zeta_gamma_power(complex(4.0, 3.0), 2.5), 1.5, 2.2126770127066118e-15,
+     [1.0]),
+], ids=["gamma_power", "zeta_zeta_gamma", "zeta_gamma_power"])
+def test_complex_s_line_runs_the_subtracted_trapezoid(monkeypatch, f, c, tail,
+                                                      near):
+    tol = 1e-10
+    calls = _record_kernel_calls(monkeypatch)
+    r = integrate_vertical(f, VerticalLineSpec(c, tol))
+    monkeypatch.undo()
+    assert abs(r.value - _complex_closed_form(f)) < tol
+    assert r.err_estimate <= tol / 2
+    # the truncation height, and with it the tail bound, of the GK line
+    assert r.tail_bound == tail
+    # levels of 17, 33, 65 and 129 nodes; for each pole within reach, its
+    # residue's kernel calls (loggamma at the far side of the Gamma pair)
+    # and the integrand where the line passes the pole
+    assert r.evaluations == len(calls)
+    points = [z for name, z in calls if name == "integrand"]
+    assert len(points) == 129 + len(near)
+    assert all(z.real == c for z in points)
+    assert points[:len(near)] == [complex(c, p.imag) for p in near]
+    assert [z for name, z in calls if name == "loggamma"] == \
+        [f.s - p for p in near]
+
+
+def _complex_line_draw(rng):
+    """A complex-s family with 0 < |Im s| <= 50, and an abscissa in its strip:
+    for the zeta families, a third of the time within 0.05 of the left pole
+    at 1, and a third of the time within 0.05 of the right pole at s - 1
+    (zeta_zeta_gamma) or anywhere (zeta_gamma_power)."""
+    s = complex(rng.uniform(3.2, 8.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 50.0))
+    tag = rng.randrange(3)
+    if tag == 0:
+        return gamma_power(s, rng.uniform(0.1, 1.0)), rng.uniform(0.5, s.real - 0.5)
+    f = zeta_zeta_gamma(s) if tag == 1 else zeta_gamma_power(s, rng.uniform(2.0, 5.0))
+    near = rng.uniform(1e-3, 0.05)
+    where = rng.randrange(3)
+    if where == 0:
+        return f, 1.0 + near
+    if where == 1 and tag == 1:
+        return f, s.real - 1.0 - near
+    return f, rng.uniform(1.0 + near, s.real - 1.0 - near)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_complex_s_line_sweep_against_closed_forms(monkeypatch, seed):
+    rng = random.Random(seed)
+    subtracted = 0
+    for _ in range(8):
+        f, c = _complex_line_draw(rng)
+        closed = _complex_closed_form(f)
+        tol = 10.0 ** rng.uniform(-12.0, -8.0) * abs(closed)
+        calls = _record_kernel_calls(monkeypatch)
+        r = integrate_vertical(f, VerticalLineSpec(c, tol))
+        monkeypatch.undo()
+        assert abs(r.value - closed) <= tol, (f, c)
+        T, tail = _gk_truncation(f, c, tol)
+        assert r.tail_bound == tail
+        points = [z for name, z in calls if name == "integrand"]
+        assert min(z.imag for z in points) == pytest.approx(-T, rel=1e-12)
+        assert max(z.imag for z in points) == pytest.approx(T, rel=1e-12)
+        assert r.evaluations == len(calls)
+        subtracted += len(calls) - len(points) > 0
+    assert subtracted
+
+
+def test_complex_s_line_pole_subtraction_is_exact(monkeypatch):
+    # the line Re z = 0.75 passes 0.75 from the left pole at 0 and from the
+    # right pole at s; the part added back for each subtracted pole uses the
+    # same residue, so a wrong residue only slows convergence
+    f = gamma_power(complex(1.5, 2.0), 0.5)
+    closed = _complex_closed_form(f)
+    tol = 1e-10 * abs(closed)
+    exact = integrate_vertical(f, VerticalLineSpec(0.75, tol))
+    scaled = []
+    for name in ("_left_residue", "_right_residue"):
+        def off(f, p, orig=getattr(contour, name)):
+            r, calls = orig(f, p)
+            scaled.append(p)
+            return r * (1.0 + 1e-3), calls
+        monkeypatch.setattr(contour, name, off)
+    r = integrate_vertical(f, VerticalLineSpec(0.75, tol))
+    assert scaled == [0.0, f.s]
+    assert r.value != exact.value
+    assert abs(r.value - closed) <= tol
+    assert abs(exact.value - closed) <= tol
+
+
+def test_complex_s_line_keeps_a_pole_the_integrand_hides():
+    # the line passes 0.95 from the pole at s, where |r|/d is 286 times |f|:
+    # the regular part cancels most of the pole part there, and subtracting
+    # it would put this reachable tol below the carrier's rounding floor
+    f = gamma_power(complex(4.692522975588679, -35.7037296185118),
+                    0.09758557437348248)
+    closed = _complex_closed_form(f)
+    tol = 3.586e-10 * abs(closed)
+    r = integrate_vertical(f, VerticalLineSpec(3.73801522427797, tol))
+    assert abs(r.value - closed) <= tol
+
+
+@pytest.mark.parametrize("f, poles", [
+    (gamma_power(complex(4.3, 2.7), 0.6), [0, 1, 2]),
+    (zeta_zeta_gamma(complex(4.3, 2.7)), [-1, 0, 1, 3]),
+    (zeta_gamma_power(complex(4.3, 2.7), 2.7), [0, 1, 2]),
+], ids=["gamma_power", "zeta_zeta_gamma", "zeta_gamma_power"])
+def test_right_field_residues_match_the_circle(f, poles):
+    # the closed forms a complex-s line subtracts at s + n; a wrong one would
+    # only slow the line, so check them against the circle oracle directly
+    for n in poles:
+        r, _ = contour._right_residue(f, f.s + n)
+        assert abs(numerical_residue(f, f.s + n, 0.3, 1e-14 * abs(r)) - r) \
+            <= 1e-13 * abs(r)
+
+
+def test_complex_s_line_below_the_rounding_floor_raises_early():
+    # the complex-s twin of the real-s floor case: rtol 1e-8 is below the
+    # rounding floor of any sum of its samples
+    f = gamma_power(complex(5.1, 2.0), 0.009)
+    tol = 1e-8 * abs(_complex_closed_form(f))
+    with pytest.raises(ToleranceUnreachable, match="rounding floor") as info:
+        integrate_vertical(f, VerticalLineSpec(3.9, tol))
+    assert 0 < info.value.evaluations <= 65
+    assert f"tol {tol:.3g}" in str(info.value)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_err_estimate_covers_kernel_rounding(seed):
+    # against math.gamma (within 16 ulps here) for real s, and the product
+    # oracle (within 1e-13 relative for |Im s| <= 10) for complex s; tol is
+    # loose enough that the floor never raises, so total_error alone must
+    # hold the kernels' rounding
+    rng = random.Random(seed)
+    for real in (True,) * 8 + (False,) * 2:
+        s = complex(rng.uniform(3.2, 8.0), 0.0 if real else rng.uniform(-10.0, 10.0))
+        u = rng.uniform(0.1, 1.0)
+        f = gamma_power(s, u)
+        if real:
+            closed = math.gamma(s.real) * (1.0 + u) ** -s.real
+            oracle_err = 16 * sys.float_info.epsilon * abs(closed)
+        else:
+            closed = oracles.power_closed(s, u, 20_000)
+            oracle_err = 1e-13 * abs(closed)
+        tol = 10.0 ** rng.uniform(-12.0, -8.0) * abs(closed)
+        r = integrate_vertical(f, VerticalLineSpec(rng.uniform(0.5, s.real - 0.5), tol))
+        assert abs(r.value - closed) <= r.total_error + oracle_err, (s, u)
+
+
+def test_rectangle_budget_raise_counts_every_leg():
+    # the budget runs out on the last panel: the raise counts the finished
+    # edges' evaluations too, all the full run spent
+    f = zeta_zeta_gamma(4.0)
+    rect = RectangleSpec(1.5, 2.0, 10.0)
+    full = integrate_rectangle(f, rect, 1e-9)
+    with pytest.raises(ToleranceUnreachable) as info:
+        integrate_rectangle(f, rect, 1e-9, max_evaluations=full.evaluations - 15)
+    assert info.value.evaluations == full.evaluations
+
+
+def test_real_axis_budget_raise_carries_the_head_and_finished_segments():
+    # the budget runs out on the last panel of the last segment: the partial
+    # value holds the analytic head on (0, 1e-3] and the finished segments,
+    # and the count all the evaluations spent
+    full = integrate_real_improper(4.0, 1e-10)
+    with pytest.raises(ToleranceUnreachable) as info:
+        integrate_real_improper(4.0, 1e-10, max_evaluations=full.evaluations - 15)
+    assert info.value.evaluations == full.evaluations
+    assert abs(info.value.partial_value - full.value) < 1e-6
+
+
 def test_real_s_rectangle_integrates_the_upper_half():
     f = gamma_power(3.0, 0.5)
     rect = RectangleSpec(0.8, 4.3, 20.0)
@@ -339,15 +559,18 @@ def test_real_s_rectangle_integrates_the_upper_half():
 
 
 def test_complex_s_integrates_the_whole_path(monkeypatch):
-    # the mirror needs real s; complex s keeps the four-edge walk and the
-    # full line, each at the tolerance share it always had
+    # the mirror needs real s; complex s keeps the four-edge walk, each edge
+    # at the tolerance share it always had, and its line runs the trapezoid
+    # over the whole line, from -T to T
     f = zeta_gamma_power(complex(4.0, 3.0), 2.5)
     paths = _record_segments(monkeypatch)
-    line = integrate_vertical(f, VerticalLineSpec(1.5, 1e-10))
+    points = _record_integrand(monkeypatch)
+    integrate_vertical(f, VerticalLineSpec(1.5, 1e-10))
+    assert paths == []
+    assert min(z.imag for z in points) == -max(z.imag for z in points) < 0.0
     rect = integrate_rectangle(f, RectangleSpec(1.5, 2.0, 10.0), 1e-9)
     corners = RectangleSpec(1.5, 2.0, 10.0).corners()
-    (z0, z1), *edges = paths
-    assert z0 == z1.conjugate() and z0.imag < 0.0
+    edges = paths
     assert edges == list(zip(corners, corners[1:] + corners[:1]))
 
     def walk(share, *legs):
@@ -359,8 +582,6 @@ def test_complex_s_integrates_the_whole_path(monkeypatch):
             raw, err, evals = raw + v, err + e, evals + n
         return raw / (2j * math.pi), err / contour.TWO_PI, evals
 
-    assert (line.value, line.err_estimate, line.evaluations) == \
-        walk(0.5 * 1e-10, (z0, z1))
     assert (rect.value, rect.err_estimate, rect.evaluations) == \
         walk(0.25 * 1e-9, *edges)
 
@@ -430,19 +651,20 @@ def test_pole_guard_wider_than_two():
 
 
 def test_budget_exhaustion_carries_partial_state():
-    # GK on a complex-s line: panels land in 15-point batches, so the count
-    # may overshoot one round
+    # GK on a segment: panels land in 15-point batches, so the count may
+    # overshoot one round
     f = zeta_zeta_gamma(complex(4.0, 0.5))
+    z0, z1 = complex(1.5, -30.0), complex(1.5, 30.0)
     with pytest.raises(ToleranceUnreachable) as info:
-        integrate_vertical(f, VerticalLineSpec(1.5, 1e-13), max_evaluations=60)
+        integrate_segment(f, z0, z1, 1e-13, max_evaluations=60)
     assert 60 <= info.value.evaluations <= 60 + 30
     assert info.value.partial_value is not None
-    # one panel short of the whole line, the partial value is the line's
-    # value but for the top panel, in the value's 1/(2 pi i) units
-    full = integrate_vertical(f, VerticalLineSpec(1.5, 1e-10))
+    # one panel short of the whole segment, the partial value is the
+    # segment's value but for the top panel, in the value's 1/(2 pi i) units
+    full = integrate_segment(f, z0, z1, 1e-10)
     with pytest.raises(ToleranceUnreachable) as info:
-        integrate_vertical(f, VerticalLineSpec(1.5, 1e-10),
-                           max_evaluations=full.evaluations - 15)
+        integrate_segment(f, z0, z1, 1e-10,
+                          max_evaluations=full.evaluations - 15)
     assert abs(info.value.partial_value - full.value) < 1e-6
     # the trapezoid on a real-s line does not start a level past the budget:
     # of its levels of 9, 17 and 33 nodes, it stops at the 17-node level,
@@ -455,6 +677,19 @@ def test_budget_exhaustion_carries_partial_state():
     assert info.value.evaluations == 17
     assert info.value.partial_value.imag == 0.0
     assert abs(info.value.partial_value - full.value) <= full.err_estimate
+    # nor on a complex-s line, whose count includes the 2 kernel calls of the
+    # residue at the pole 1, 0.5 from the line, and the integrand at 1.5,
+    # and whose partial value includes that pole's part: of its levels of
+    # 17, 33, 65 and 129 nodes, one evaluation short, it stops at the
+    # 65-node level
+    f = zeta_zeta_gamma(complex(4.0, 0.5))
+    full = integrate_vertical(f, VerticalLineSpec(1.5, 1e-10))
+    assert full.evaluations == 129 + 3
+    with pytest.raises(ToleranceUnreachable) as info:
+        integrate_vertical(f, VerticalLineSpec(1.5, 1e-10),
+                           max_evaluations=full.evaluations - 1)
+    assert info.value.evaluations == 65 + 3
+    assert abs(info.value.partial_value - full.value) < 0.5e-10
 
 
 @pytest.mark.parametrize("s", [4.0, complex(4.0, 0.5)], ids=["real", "complex"])
