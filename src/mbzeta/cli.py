@@ -13,9 +13,9 @@ import sys
 from dataclasses import dataclass
 
 from ._version import __version__
-from .contour import (RectangleSpec, VerticalLineSpec, gamma_power,
-                      integrate_real_improper, integrate_vertical,
-                      zeta_gamma_power, zeta_zeta_gamma)
+from .contour import (FAMILY_PARAMS, IntegrandFamily, RectangleSpec,
+                      VerticalLineSpec, integrate_real_improper,
+                      integrate_vertical)
 from .errors import ConfigError, MBZetaError, UsageError
 from .residues import asymptotic_tail_terms, classify_pole, residue_at
 from .specfun import beta, bernoulli, gamma, log_gamma
@@ -27,12 +27,9 @@ __all__ = ["Command", "parse_args", "execute", "main"]
 CONFIG_ENV_VAR = "MBZETA_CONFIG"
 EVAL_ACCURACY = 1e-10  # desk-scale accuracy claim for direct evaluations
 
-_FAMILY_ALIASES = {
-    "gammapower": "gamma_power", "gamma_power": "gamma_power",
-    "zetazeta": "zeta_zeta_gamma", "zeta_zeta_gamma": "zeta_zeta_gamma",
-    "zetagamma": "zeta_gamma_power", "zeta_gamma_power": "zeta_gamma_power",
-    "improper": "improper", "real_axis": "improper",
-}
+_FAMILY_ALIASES = {"gammapower": "gamma_power", "zetazeta": "zeta_zeta_gamma",
+                   "zetagamma": "zeta_gamma_power", "real_axis": "improper",
+                   **{name: name for name in (*FAMILY_PARAMS, "improper")}}
 
 _EVAL_FUNCS = ("zeta", "gamma", "loggamma", "hurwitz", "beta", "bernoulli")
 _ALL_FORMATS = ("text", "json", "csv")
@@ -141,23 +138,17 @@ def _family_from_flags(ns, allow_improper=False):
     if name is None or (name == "improper" and not allow_improper):
         raise UsageError(f"unknown family {ns.family!r}")
     s = _parse_complex(ns.s, "--s")
+    if name == "improper":
+        if s.real <= 2.0:
+            raise UsageError("--family improper needs Re(s) > 2")
+        return "improper"
+    missing = [f"--{k}" for k in FAMILY_PARAMS[name] if getattr(ns, k) is None]
+    if missing:
+        raise UsageError(f"family {ns.family} needs {', '.join(missing)}")
+    params = {k: _finite(getattr(ns, k), f"--{k}") for k in FAMILY_PARAMS[name]}
     try:
-        if name == "improper":
-            if s.real <= 2.0:
-                raise UsageError("--family improper needs Re(s) > 2")
-            return "improper"
-        if name == "gamma_power":
-            if ns.u is None:
-                raise UsageError("family gammapower needs --u")
-            return gamma_power(s, _finite(ns.u, "--u"))
-        if name == "zeta_zeta_gamma":
-            return zeta_zeta_gamma(s)
-        if ns.a is None:
-            raise UsageError("family zetagamma needs --a")
-        return zeta_gamma_power(s, _finite(ns.a, "--a"))
+        return IntegrandFamily(name, s, **params)
     except MBZetaError as exc:
-        if isinstance(exc, UsageError):
-            raise
         raise UsageError(str(exc)) from None
 
 
@@ -167,6 +158,10 @@ def parse_args(argv):
     if ns.subcommand is None:
         raise UsageError("a subcommand is required (see mbzeta --help)")
     params = {}
+    if ns.subcommand in ("integrate", "rect"):
+        params["tol"] = _finite(ns.tol, "--tol")
+        if not params["tol"] > 0.0:
+            raise UsageError("--tol must be positive")
     if ns.subcommand == "eval":
         params["func"] = ns.func
         if ns.func == "bernoulli":
@@ -187,12 +182,8 @@ def parse_args(argv):
                     raise UsageError("eval hurwitz needs --a")
                 params["a"] = _finite(ns.a, "--a")
     elif ns.subcommand == "integrate":
-        f = _family_from_flags(ns, allow_improper=True)
-        params["family"] = f
+        params["family"] = f = _family_from_flags(ns, allow_improper=True)
         params["s"] = _parse_complex(ns.s, "--s")
-        params["tol"] = _finite(ns.tol, "--tol")
-        if not params["tol"] > 0.0:
-            raise UsageError("--tol must be positive")
         if f != "improper":
             if ns.c is None:
                 raise UsageError("integrate needs --c")
@@ -204,8 +195,7 @@ def parse_args(argv):
                 raise UsageError(str(exc)) from None
             params["line"] = line
     elif ns.subcommand == "rect":
-        f = _family_from_flags(ns)
-        params["family"] = f
+        params["family"] = _family_from_flags(ns)
         if not ns.left < ns.right:
             raise UsageError("--left must lie left of --right")
         try:
@@ -214,9 +204,6 @@ def parse_args(argv):
                                            _finite(ns.T, "--T"))
         except MBZetaError as exc:
             raise UsageError(str(exc)) from None
-        params["tol"] = _finite(ns.tol, "--tol")
-        if not params["tol"] > 0.0:
-            raise UsageError("--tol must be positive")
     elif ns.subcommand == "residues":
         params["family"] = _family_from_flags(ns)
         if ns.hi < ns.lo:

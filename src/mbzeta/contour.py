@@ -49,6 +49,7 @@ from .zeta import DEFAULT_CONFIG, _bound_zeta, zeta_negative_integer
 __all__ = [
     "GAMMA_POWER", "ZETA_ZETA_GAMMA", "ZETA_GAMMA_POWER", "FAMILY_TAGS",
     "IntegrandFamily", "gamma_power", "zeta_zeta_gamma", "zeta_gamma_power",
+    "FAMILY_PARAMS",
     "VerticalLineSpec", "RectangleSpec", "QuadratureResult",
     "integrand_eval", "integrate_vertical", "integrate_segment",
     "integrate_rectangle", "integrate_real_improper",
@@ -208,6 +209,11 @@ def zeta_gamma_power(s, a):
     return IntegrandFamily(ZETA_GAMMA_POWER, complex(s), a=float(a))
 
 
+# the parameters each family takes besides s, as IntegrandFamily names them
+FAMILY_PARAMS = {GAMMA_POWER: ("u",), ZETA_ZETA_GAMMA: (),
+                 ZETA_GAMMA_POWER: ("a",)}
+
+
 @dataclass(frozen=True)
 class VerticalLineSpec:
     """Line Re z = c for a 1/(2*pi*i) principal-value-free line integral."""
@@ -334,7 +340,8 @@ def _adaptive_segment(f, z0, z1, tol_abs, max_evaluations):
     """Raw oriented integral along [z0, z1]; returns (value, err, evals).
 
     LIFO bisection stack pushed right-then-left gives deterministic
-    left-to-right panel acceptance order.
+    left-to-right panel acceptance order. A panel whose value or estimate
+    overflows binary64 raises OverflowRegime.
     """
     total_len = abs(z1 - z0)
     if total_len == 0.0:
@@ -345,7 +352,14 @@ def _adaptive_segment(f, z0, z1, tol_abs, max_evaluations):
     while stack:
         a, b = stack.pop()
         seg = abs(b - a)
-        v, e = _gk15(f, a, b)
+        try:
+            v, e = _gk15(f, a, b)
+            finite = e < math.inf and cmath.isfinite(v)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise OverflowRegime(
+                f"integrand overflows binary64 on the panel [{a}, {b}]")
         evals += 15
         if evals > max_evaluations:
             raise ToleranceUnreachable(
@@ -412,8 +426,10 @@ def _nested_trapezoid(term, n, nodes, scale, tol, max_evaluations, what,
     last difference, plus KERNEL_ROUNDING floors, and a level raises
     ToleranceUnreachable when tol is below floor_factor times its floor. A
     level that would take the evaluation count beyond max_evaluations is not
-    started: the raise carries the last level's value.
+    started: the raise carries the last level's value. A level whose sums
+    overflow binary64 raises OverflowRegime.
     """
+    overflow = f"{what}: the integrand overflows binary64"
     if nodes > max_evaluations:
         raise ToleranceUnreachable(
             f"{what}: evaluation budget {max_evaluations} is below the "
@@ -424,12 +440,17 @@ def _nested_trapezoid(term, n, nodes, scale, tol, max_evaluations, what,
     js = range(nodes)
     prev = None
     while True:
-        terms = [term(j, n) for j in js]
+        try:
+            terms = [term(j, n) for j in js]
+        except OverflowError:
+            raise OverflowRegime(overflow) from None
         evals += len(terms)
         acc += sum(v for v, _ in terms)
         mass += sum(m for _, m in terms)
         cur = acc * scale / n
         floor = EPS * scale * mass / n
+        if not (floor < math.inf and cmath.isfinite(cur)):
+            raise OverflowRegime(overflow)
         if tol < floor_factor * floor:
             raise ToleranceUnreachable(
                 f"{what}: the trapezoid's share of tol, {tol:.3g}, is below "

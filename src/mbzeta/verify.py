@@ -7,6 +7,7 @@ tolerance, and passes iff abs_err <= tolerance or rel_err <= tolerance.
 Boolean facts (monotone decay, zero envelope violations, tail growth) are
 encoded as counting rows -- lhs = number of violations against rhs = 0 with
 tolerance 0.5 -- so the pass rule above remains the single source of truth.
+Each case kind is one row of _KINDS, and _READERS says how each key is read.
 """
 import cmath
 import math
@@ -15,13 +16,14 @@ from dataclasses import dataclass
 from ._backend import BACKEND, kernels
 from ._kernel_constants import EM_COEFFS
 from ._version import __version__
-from .contour import (DEFAULT_MAX_EVALUATIONS, GAMMA_POWER, RectangleSpec,
-                      VerticalLineSpec, _integrate_vertical_unchecked,
-                      gamma_power, integrate_real_improper, integrate_rectangle,
+from .contour import (DEFAULT_MAX_EVALUATIONS, FAMILY_PARAMS, GAMMA_POWER,
+                      IntegrandFamily, RectangleSpec, VerticalLineSpec,
+                      _integrate_vertical_unchecked, gamma_power,
+                      integrate_real_improper, integrate_rectangle,
                       integrate_segment, integrate_vertical, zeta_gamma_power,
                       zeta_zeta_gamma)
 from .errors import (ConfigError, DomainViolation, MBZetaError,
-                     UnknownCaseKind)
+                     OverflowRegime, UnknownCaseKind)
 from .residues import asymptotic_tail_terms, enumerate_poles, residue_at
 from .specfun import POLE_GUARD
 from .zeta import double_sum_oracle, hurwitz_zeta, riemann_zeta
@@ -32,14 +34,12 @@ __all__ = [
     "decay_study", "fit_envelope", "run_suite", "default_config",
 ]
 
-IDENTITY_KINDS = ("mb_power", "binomial_series", "two_term", "double_sum",
-                  "hurwitz_kernel", "app_integral", "coth_expansion")
-
 _TINY = 1e-300  # rel_err floor keeps rhs = 0 rows finite and JSON-safe
 
 
 @dataclass(frozen=True)
 class IdentityCase:
+    """One identity check; params are read by _READERS on construction."""
     id: str
     kind: str
     params: dict
@@ -49,8 +49,11 @@ class IdentityCase:
     def __post_init__(self):
         if self.kind not in IDENTITY_KINDS:
             raise UnknownCaseKind(f"unknown identity kind {self.kind!r}")
-        if not self.tolerance > 0.0:
-            raise DomainViolation("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise DomainViolation("tolerance must be positive and finite")
+        where = f"identity case {self.id!r}"
+        object.__setattr__(self, "params", _read(self.params, where, self.kind))
+        _read_value("method", self.method, where)
 
 
 @dataclass(frozen=True)
@@ -107,17 +110,69 @@ def _zeta_pair_closed_form(s):
     return g * (riemann_zeta(s - 1.0) - riemann_zeta(s))
 
 
-def _binomial_partial(s, u, n_terms):
-    term = cmath.exp(kernels.loggamma(s))
-    total = term
-    for n in range(n_terms - 1):
+# The two sides of each identity kind, sides(p, qt, max_evaluations, method)
+# -> (lhs, rhs), from the read params p and the quadrature target qt.
+
+def _mb_power(p, qt, max_evaluations, method):
+    # line integral vs Gamma(s)(1+u)^{-s}
+    s, u = p["s"], p["u"]
+    line = VerticalLineSpec(p["c"], qt)
+    return (integrate_vertical(gamma_power(s, u), line, max_evaluations).value,
+            _power_closed_form(s, u))
+
+
+def _binomial_series(p, qt, max_evaluations, method):
+    # partial sum vs Gamma(s)(1+u)^{-s}
+    s, u = p["s"], p["u"]
+    term = total = cmath.exp(kernels.loggamma(s))
+    for n in range(p["n_terms"] - 1):
         term *= -u * (s + n) / (n + 1.0)
         total += term
-    return total
+    return total, _power_closed_form(s, u)
 
 
-def _coth_partial(x, n_terms):
-    # partial sums of (x/2)coth(x/2) = sum B_{2n} x^{2n} / (2n)!
+def _two_term(p, qt, max_evaluations, method):
+    # rescaled line integral vs Gamma(s)/(a+b)^s
+    s, a, b = p["s"], p["a"], p["b"]
+    if a <= 0.0 or b <= 0.0:
+        raise DomainViolation("two_term needs a > 0 and b > 0")
+    lo, hi = min(a, b), max(a, b)
+    line = VerticalLineSpec(p["c"], qt)
+    lhs = (hi ** (-s)) * integrate_vertical(gamma_power(s, lo / hi), line,
+                                            max_evaluations).value
+    return lhs, cmath.exp(kernels.loggamma(s)) * (a + b) ** (-s)
+
+
+def _double_sum(p, qt, max_evaluations, method):
+    # line integral vs the closed form, or the truncated double-sum oracle
+    s = p["s"]
+    line = VerticalLineSpec(p.get("c", 1.5), qt)
+    lhs = integrate_vertical(zeta_zeta_gamma(s), line, max_evaluations).value
+    if method == "oracle":
+        return lhs, cmath.exp(kernels.loggamma(s)) * double_sum_oracle(
+            s, min(qt, 1e-12))
+    return lhs, _zeta_pair_closed_form(s)
+
+
+def _hurwitz_kernel(p, qt, max_evaluations, method):
+    # line integral vs Gamma(s) zeta(s, a)
+    s, a = p["s"], p["a"]
+    line = VerticalLineSpec(p.get("c", 1.5), qt)
+    return (integrate_vertical(zeta_gamma_power(s, a), line,
+                               max_evaluations).value,
+            cmath.exp(kernels.loggamma(s)) * hurwitz_zeta(s, a))
+
+
+def _app_integral(p, qt, max_evaluations, method):
+    # real-axis integral vs closed form
+    s = p["s"]
+    return (integrate_real_improper(s, qt, max_evaluations).value,
+            _zeta_pair_closed_form(s))
+
+
+def _coth_expansion(p, qt, max_evaluations, method):
+    # partial sum of (x/2)coth(x/2) = sum B_{2n} x^{2n} / (2n)! vs its value
+    x, n_terms = p["x"], p["n_terms"]
     if not 1 <= n_terms <= len(EM_COEFFS) + 1:
         raise DomainViolation(
             f"n_terms must be within 1..{len(EM_COEFFS) + 1}, got {n_terms}")
@@ -129,71 +184,14 @@ def _coth_partial(x, n_terms):
     for n in range(1, n_terms):
         xp *= x2
         total += EM_COEFFS[n - 1] * xp
-    return total
+    return total, (x / 2.0) / math.tanh(x / 2.0)
 
 
 def check_identity(case, max_evaluations=DEFAULT_MAX_EVALUATIONS):
-    """Evaluate both sides of the identity named by case.kind and compare.
-
-    params by kind:
-      mb_power          s, u, c          line integral vs Gamma(s)(1+u)^{-s}
-      binomial_series   s, u, n_terms    partial sum vs Gamma(s)(1+u)^{-s}
-      two_term          s, a, b, c       rescaled line integral vs Gamma(s)/(a+b)^s
-      double_sum        s, c             line integral vs closed form or the
-                                         truncated double-sum oracle (method)
-      hurwitz_kernel    s, a, c          line integral vs Gamma(s) zeta(s, a)
-      app_integral      s                real-axis integral vs closed form
-      coth_expansion    x, n_terms       even series partial vs (x/2)coth(x/2)
-    """
-    p = case.params
-    qt = _quad_tol(case.tolerance)
-    kind = case.kind
-    if kind == "mb_power":
-        s, u = complex(p["s"]), float(p["u"])
-        line = VerticalLineSpec(float(p["c"]), qt)
-        lhs = integrate_vertical(gamma_power(s, u), line,
-                                 max_evaluations).value
-        rhs = _power_closed_form(s, u)
-    elif kind == "binomial_series":
-        s, u = complex(p["s"]), float(p["u"])
-        lhs = _binomial_partial(s, u, int(p["n_terms"]))
-        rhs = _power_closed_form(s, u)
-    elif kind == "two_term":
-        s = complex(p["s"])
-        a, b = float(p["a"]), float(p["b"])
-        if a <= 0.0 or b <= 0.0:
-            raise DomainViolation("two_term needs a > 0 and b > 0")
-        lo, hi = min(a, b), max(a, b)
-        line = VerticalLineSpec(float(p["c"]), qt)
-        lhs = (hi ** (-s)) * integrate_vertical(gamma_power(s, lo / hi), line,
-                                                max_evaluations).value
-        rhs = cmath.exp(kernels.loggamma(s)) * (a + b) ** (-s)
-    elif kind == "double_sum":
-        s = complex(p["s"])
-        line = VerticalLineSpec(float(p.get("c", 1.5)), qt)
-        lhs = integrate_vertical(zeta_zeta_gamma(s), line,
-                                 max_evaluations).value
-        if case.method == "oracle":
-            rhs = cmath.exp(kernels.loggamma(s)) * double_sum_oracle(
-                s, min(qt, 1e-12))
-        else:
-            rhs = _zeta_pair_closed_form(s)
-    elif kind == "hurwitz_kernel":
-        s, a = complex(p["s"]), float(p["a"])
-        line = VerticalLineSpec(float(p.get("c", 1.5)), qt)
-        lhs = integrate_vertical(zeta_gamma_power(s, a), line,
-                                 max_evaluations).value
-        rhs = cmath.exp(kernels.loggamma(s)) * hurwitz_zeta(s, a)
-    elif kind == "app_integral":
-        s = complex(p["s"])
-        lhs = integrate_real_improper(s, qt, max_evaluations).value
-        rhs = _zeta_pair_closed_form(s)
-    elif kind == "coth_expansion":
-        x = float(p["x"])
-        lhs = _coth_partial(x, int(p["n_terms"]))
-        rhs = (x / 2.0) / math.tanh(x / 2.0)
-    else:  # pragma: no cover - IdentityCase already validates
-        raise UnknownCaseKind(f"unknown identity kind {kind!r}")
+    """Evaluate both sides of the identity named by case.kind and compare."""
+    sides = _KINDS[case.kind][2].sides
+    lhs, rhs = sides(case.params, _quad_tol(case.tolerance), max_evaluations,
+                     case.method)
     return _entry(case.id, lhs, rhs, case.tolerance)
 
 
@@ -204,6 +202,13 @@ def check_rectangle(f, rect, tol=1e-6,
     if entry_id is None:
         entry_id = (f"rectangle[{f.tag},right={rect.c:g},left={rect.left:g},"
                     f"T={rect.T:g}]")
+    # the residue at the left pole n is a multiple of Gamma(s - n), which
+    # overflows for Re(s - n) > 170: fail before enumerating billions of poles
+    lo = rect.left + POLE_GUARD
+    lowest = f.poles(lo, min(lo + 2.0, rect.c - POLE_GUARD))
+    if lowest and f.s.real - lowest[0] > 170.0:
+        raise OverflowRegime(
+            f"the residue at the enclosed pole {lowest[0]} overflows binary64")
     lhs = integrate_rectangle(f, rect, _quad_tol(tol), max_evaluations,
                               pole_guard).value
     rhs = sum((residue_at(f, p).value for p in enumerate_poles(f, rect)),
@@ -211,9 +216,12 @@ def check_rectangle(f, rect, tol=1e-6,
     return _entry(entry_id, lhs, rhs, tol)
 
 
+_DECAY_STUDIES = ("vertical_shift", "horizontal")
+
+
 @dataclass(frozen=True)
 class DecayStudy:
-    kind: str                  # "vertical_shift" or "horizontal"
+    kind: str                  # one of _DECAY_STUDIES
     family_tag: str
     abscissa: float            # right abscissa c
     values: tuple              # shifts k (vertical) or heights T (horizontal)
@@ -248,7 +256,7 @@ def decay_study(kind, f, c, values, left=None, threshold=1e-6,
     horizontal: |top edge integral| from c + iT to left + iT for T in values,
     witnessing that rectangle lids vanish as the rectangle grows tall.
     """
-    if kind not in ("vertical_shift", "horizontal"):
+    if kind not in _DECAY_STUDIES:
         raise DomainViolation(f"unknown decay study kind {kind!r}")
     values = tuple(float(v) for v in values)
     if len(values) < 2 or any(b <= a for a, b in zip(values, values[1:])):
@@ -277,10 +285,18 @@ def decay_study(kind, f, c, values, left=None, threshold=1e-6,
                       decreasing, mags[-1] <= threshold)
 
 
-_ENVELOPE_SIGMA = {
-    "gamma_exp": (0.5, 3.0),
-    "zeta_left": (-2.0, -0.5),
-    "zeta_strip": (0.25, 0.75),
+# bound: (sigma range, |f| / envelope at sigma + it, default fit and test
+# ranges of |t|)
+_ENVELOPES = {
+    "gamma_exp": ((0.5, 3.0), lambda sig, t: (
+        math.exp(kernels.loggamma(complex(sig, t)).real) / math.exp(-abs(t))),
+        (1.0, 10.0), (10.0, 40.0)),
+    "zeta_left": ((-2.0, -0.5), lambda sig, t: (
+        abs(riemann_zeta(complex(sig, t))) / abs(t) ** (0.5 - sig)),
+        (5.0, 50.0), (50.0, 60.0)),
+    "zeta_strip": ((0.25, 0.75), lambda sig, t: (
+        abs(riemann_zeta(complex(sig, t))) / abs(t) ** 0.75),
+        (5.0, 20.0), (20.0, 60.0)),
 }
 
 
@@ -307,19 +323,6 @@ class EnvelopeFit:
         return _entry(entry_id, complex(self.violations), 0j, 0.5)
 
 
-def _envelope_ratio(bound_kind):
-    if bound_kind == "gamma_exp":
-        return lambda sig, t: (math.exp(kernels.loggamma(complex(sig, t)).real)
-                               / math.exp(-abs(t)))
-    if bound_kind == "zeta_left":
-        return lambda sig, t: (abs(riemann_zeta(complex(sig, t)))
-                               / abs(t) ** (0.5 - sig))
-    if bound_kind == "zeta_strip":
-        return lambda sig, t: (abs(riemann_zeta(complex(sig, t)))
-                               / abs(t) ** 0.75)
-    raise DomainViolation(f"unknown envelope kind {bound_kind!r}")
-
-
 def _grid(lo, hi, n):
     if n < 2:
         raise DomainViolation("grid needs at least 2 points per axis")
@@ -335,7 +338,7 @@ def fit_envelope(bound_kind, fit_range, test_range, grid=(20, 20)):
     held-out range with the fitted constant; any violation is reported, never
     absorbed by refitting.
     """
-    if bound_kind not in _ENVELOPE_SIGMA:
+    if bound_kind not in _ENVELOPES:
         raise DomainViolation(f"unknown envelope kind {bound_kind!r}")
     fit_range = (float(fit_range[0]), float(fit_range[1]))
     test_range = (float(test_range[0]), float(test_range[1]))
@@ -344,8 +347,7 @@ def fit_envelope(bound_kind, fit_range, test_range, grid=(20, 20)):
             raise DomainViolation(f"range must satisfy 0 < lo < hi, got {lo, hi}")
     if test_range[0] < fit_range[1]:
         raise DomainViolation("test range must sit above the fit range")
-    ratio = _envelope_ratio(bound_kind)
-    sig_lo, sig_hi = _ENVELOPE_SIGMA[bound_kind]
+    (sig_lo, sig_hi), ratio, _, _ = _ENVELOPES[bound_kind]
     n_sig, n_t = int(grid[0]), int(grid[1])
     sigmas = _grid(sig_lo, sig_hi, n_sig)
     constant = 0.0
@@ -391,14 +393,8 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-_TOL_KEY = {
-    "mb_power": "gamma_only", "binomial_series": "gamma_only",
-    "two_term": "gamma_only", "double_sum": "zeta_bearing",
-    "hurwitz_kernel": "zeta_bearing", "app_integral": "zeta_bearing",
-    "coth_expansion": "series", "rectangle": "rectangle",
-    "decay": "decay_threshold", "envelope": "indicator",
-    "tail_study": "indicator",
-}
+_QUADRATURE = {"pole_guard": POLE_GUARD,
+               "max_evaluations": DEFAULT_MAX_EVALUATIONS}
 
 DEFAULT_TOLERANCES = {
     "gamma_only": 1e-8,
@@ -409,11 +405,162 @@ DEFAULT_TOLERANCES = {
     "indicator": 0.5,
 }
 
-DEFAULT_ENVELOPE_RANGES = {
-    "gamma_exp": {"fit": [1.0, 10.0], "test": [10.0, 40.0]},
-    "zeta_left": {"fit": [5.0, 50.0], "test": [50.0, 60.0]},
-    "zeta_strip": {"fit": [5.0, 20.0], "test": [20.0, 60.0]},
+
+# Suite runners, run(case, name, tol, cfg) -> entries: name is case["id"],
+# or kind#index, and cfg the read config.
+
+class _Identity:
+    """Runner of an identity kind: check_identity, comparing the two sides."""
+
+    def __init__(self, sides):
+        self.sides = sides
+
+    def __call__(self, case, name, tol, cfg):
+        params = {k: v for k, v in case.items()
+                  if k not in ("id", "kind", "tolerance", "method")}
+        ic = IdentityCase(name, case["kind"], params, tol,
+                          case.get("method", "closed_form"))
+        return [check_identity(ic, cfg["max_evaluations"])]
+
+
+def _family(case):
+    tag = case["family"]
+    return IntegrandFamily(tag, case["s"],
+                           **{k: case[k] for k in FAMILY_PARAMS[tag]})
+
+
+def _run_rectangle(case, name, tol, cfg):
+    right = case["right"]
+    rect = RectangleSpec(right, right - case["left"], case["T"])
+    return [check_rectangle(_family(case), rect, tol, cfg["max_evaluations"],
+                            cfg["pole_guard"], entry_id=case.get("id"))]
+
+
+def _run_decay(case, name, tol, cfg):
+    study = decay_study(case["study"], _family(case), case["c"],
+                        case["values"], left=case.get("left"), threshold=tol,
+                        max_evaluations=cfg["max_evaluations"])
+    return study.entries(case.get("id"))
+
+
+def _run_envelope(case, name, tol, cfg):
+    ranges = cfg["envelope_ranges"][case["bound"]]
+    fit = fit_envelope(case["bound"], ranges["fit"], ranges["test"])
+    return [fit.entry(case.get("id"))]
+
+
+def _run_tail_study(case, name, tol, cfg):
+    # strict-growth violations for m >= 2 witness divergence
+    study = asymptotic_tail_terms(case["s"], case.get("M", 20))
+    mags = [abs(t) for t in study.terms]
+    violations = sum(1 for i in range(2, len(mags) - 1)
+                     if not mags[i + 1] > mags[i])
+    return [_entry(name, complex(violations), 0j, tol)]
+
+
+# kind: (required params, tolerance class, runner). A family's own
+# parameters (FAMILY_PARAMS) are required with it.
+_KINDS = {
+    "mb_power": (("s", "u", "c"), "gamma_only", _Identity(_mb_power)),
+    "binomial_series": (("s", "u", "n_terms"), "gamma_only",
+                        _Identity(_binomial_series)),
+    "two_term": (("s", "a", "b", "c"), "gamma_only", _Identity(_two_term)),
+    "double_sum": (("s",), "zeta_bearing", _Identity(_double_sum)),
+    "hurwitz_kernel": (("s", "a"), "zeta_bearing", _Identity(_hurwitz_kernel)),
+    "app_integral": (("s",), "zeta_bearing", _Identity(_app_integral)),
+    "coth_expansion": (("x", "n_terms"), "series", _Identity(_coth_expansion)),
+    "rectangle": (("family", "s", "right", "left", "T"), "rectangle",
+                  _run_rectangle),
+    "decay": (("study", "family", "s", "c", "values"), "decay_threshold",
+              _run_decay),
+    "envelope": (("bound",), "indicator", _run_envelope),
+    "tail_study": (("s",), "indicator", _run_tail_study),
 }
+
+IDENTITY_KINDS = tuple(k for k, row in _KINDS.items()
+                       if isinstance(row[2], _Identity))
+
+
+# How each key is read: (read, what it expects). read returns the value it
+# reads or raises TypeError or ValueError.
+
+def _ok(value, ok):
+    if not ok:
+        raise ValueError
+    return value
+
+
+def _real(v):
+    return float(_ok(v, not isinstance(v, bool) and math.isfinite(v)))
+
+
+def _integer(v):
+    return int(_ok(v, _real(v).is_integer()))
+
+
+def _complex(v):
+    if isinstance(v, str):
+        v = [float(x) for x in v.split(",")]
+    if isinstance(v, (list, tuple)):
+        re, im = v
+        return complex(_real(re), _real(im))
+    if isinstance(v, complex):
+        return _ok(v, cmath.isfinite(v))
+    return complex(_real(v))
+
+
+def _one_of(options):
+    return lambda v: _ok(v, v in options), "one of " + ", ".join(options)
+
+
+def _reals(v):
+    return tuple(map(_real, _ok(v, isinstance(v, (list, tuple)))))
+
+
+_POSITIVE = (lambda v: _ok(_real(v), v > 0.0), "a positive finite number")
+_ANY = (lambda v: v, "anything")
+
+_READERS = {
+    "kind": _one_of(_KINDS),
+    "id": (lambda v: _ok(v, isinstance(v, str)), "a string"),
+    "tolerance": _POSITIVE, "method": _one_of(("closed_form", "oracle")),
+    "s": (_complex, 'a finite number, [re, im] or "re,im"'),
+    **dict.fromkeys(("u", "a", "b", "c", "x", "right", "left", "T"),
+                    (_real, "a finite number")),
+    "n_terms": (_integer, "an integer"), "M": (_integer, "an integer"),
+    "values": (_reals, "a list of finite numbers"),
+    "family": _one_of(FAMILY_PARAMS), "study": _one_of(_DECAY_STUDIES),
+    "bound": _one_of(_ENVELOPES),
+    # quadrature and envelope_ranges keys
+    "pole_guard": _POSITIVE,
+    "max_evaluations": (lambda v: _ok(_integer(v), v > 0), "a positive integer"),
+    **dict.fromkeys(("fit", "test"),
+                    (lambda v: _reals(_ok(v, len(v) == 2)),
+                     "a pair [lo, hi] of finite numbers")),
+}
+
+
+def _read_value(key, value, where, reader=None):
+    read, what = reader or _READERS[key]
+    try:
+        return read(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: {key} must be {what}, got {value!r}") from None
+
+
+def _read(raw, where, kind=None):
+    """The keys of raw that _READERS knows, each read, with the parameters
+    of its kind (raw["kind"] if not given) and of its family present."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
+    kind = kind or _read_value("kind", raw.get("kind"), where)
+    case = {k: _read_value(k, v, where) for k, v in raw.items()
+            if k in _READERS}
+    missing = [k for k in _KINDS[kind][0]
+               + FAMILY_PARAMS.get(case.get("family"), ()) if k not in case]
+    if missing:
+        raise ConfigError(f"{where} ({kind}) is missing {missing}")
+    return case
 
 
 def default_config():
@@ -477,169 +624,40 @@ def default_config():
     return {
         "tolerances": dict(DEFAULT_TOLERANCES),
         "cases": cases,
-        "envelope_ranges": {k: {kk: list(v) for kk, v in r.items()}
-                            for k, r in DEFAULT_ENVELOPE_RANGES.items()},
-        "quadrature": {"pole_guard": POLE_GUARD,
-                       "max_evaluations": DEFAULT_MAX_EVALUATIONS},
+        "envelope_ranges": {k: {"fit": list(fit), "test": list(test)}
+                            for k, (_, _, fit, test) in _ENVELOPES.items()},
+        "quadrature": dict(_QUADRATURE),
     }
 
 
-def _as_complex(v, what="value"):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, complex):
-        return v
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, str):
-        parts = v.split(",")
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    raise ConfigError(f"cannot read {what} {v!r} as a complex number")
-
-
-_FAMILY_BUILDERS = {
-    "gamma_power": (gamma_power, ("u",)),
-    "zeta_zeta_gamma": (zeta_zeta_gamma, ()),
-    "zeta_gamma_power": (zeta_gamma_power, ("a",)),
-}
-
-
-def _family_from_case(case):
-    name = case.get("family")
-    if name not in _FAMILY_BUILDERS:
-        raise ConfigError(f"unknown family {name!r}")
-    builder, extra = _FAMILY_BUILDERS[name]
-    args = [_as_complex(case.get("s"), "s")]
-    for key in extra:
-        if key not in case:
-            raise ConfigError(f"family {name!r} needs parameter {key!r}")
-        args.append(float(case[key]))
-    return builder(*args)
-
-
-_CASE_KINDS = set(IDENTITY_KINDS) | {"rectangle", "decay", "envelope",
-                                     "tail_study"}
-_TOP_KEYS = {"tolerances", "cases", "envelope_ranges", "quadrature"}
-
-_REQUIRED_PARAMS = {
-    "mb_power": ("s", "u", "c"),
-    "binomial_series": ("s", "u", "n_terms"),
-    "two_term": ("s", "a", "b", "c"),
-    "double_sum": ("s",),
-    "hurwitz_kernel": ("s", "a"),
-    "app_integral": ("s",),
-    "coth_expansion": ("x", "n_terms"),
-    "rectangle": ("family", "s", "right", "left", "T"),
-    "decay": ("study", "family", "s", "c", "values"),
-    "envelope": ("bound",),
-    "tail_study": ("s",),
-}
-
-
-def _precheck_case(case, index):
-    where = f"cases[{index}]"
-    kind = case.get("kind")
-    if kind not in _CASE_KINDS:
-        raise ConfigError(f"{where} has unknown kind {kind!r}")
-    missing = [k for k in _REQUIRED_PARAMS[kind] if k not in case]
-    if missing:
-        raise ConfigError(f"{where} ({kind}) is missing {missing}")
-    if "tolerance" in case and not (isinstance(case["tolerance"], (int, float))
-                                    and case["tolerance"] > 0.0):
-        raise ConfigError(f"{where} tolerance must be a positive number")
-    if "s" in case:
-        try:
-            _as_complex(case["s"], "s")
-        except (ConfigError, ValueError, TypeError):
-            raise ConfigError(f"{where} has unreadable s {case['s']!r}") from None
-    if kind in ("rectangle", "decay") and case["family"] not in _FAMILY_BUILDERS:
-        raise ConfigError(f"{where} has unknown family {case['family']!r}")
-    if kind == "decay" and case["study"] not in ("vertical_shift", "horizontal"):
-        raise ConfigError(f"{where} has unknown decay study {case['study']!r}")
-    if kind == "envelope" and case["bound"] not in _ENVELOPE_SIGMA:
-        raise ConfigError(f"{where} has unknown envelope bound {case['bound']!r}")
-
-
-def _validate_config(config):
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(config) - _TOP_KEYS
+def _section(given, where, defaults, reader=None):
+    """defaults updated from the object given, read by reader or _READERS."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(given) - set(defaults))
     if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    merged = default_config()
-    tol = dict(merged["tolerances"])
-    for k, v in (config.get("tolerances") or {}).items():
-        if k not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance key {k!r}")
-        if not (isinstance(v, (int, float)) and v > 0.0):
-            raise ConfigError(f"tolerance {k!r} must be a positive number")
-        tol[k] = float(v)
-    env = {k: {kk: list(map(float, vv)) for kk, vv in v.items()}
-           for k, v in merged["envelope_ranges"].items()}
-    for k, v in (config.get("envelope_ranges") or {}).items():
-        if k not in DEFAULT_ENVELOPE_RANGES:
-            raise ConfigError(f"unknown envelope kind {k!r}")
-        if (not isinstance(v, dict) or set(v) - {"fit", "test"}
-                or not all(isinstance(r, (list, tuple)) and len(r) == 2
-                           for r in v.values())):
-            raise ConfigError(
-                f"envelope_ranges[{k!r}] must map 'fit'/'test' to [lo, hi]")
-        env[k].update({kk: [float(x) for x in vv] for kk, vv in v.items()})
-    quad = dict(merged["quadrature"])
-    for k, v in (config.get("quadrature") or {}).items():
-        if k not in quad:
-            raise ConfigError(f"unknown quadrature key {k!r}")
-        if not (isinstance(v, (int, float)) and v > 0):
-            raise ConfigError(f"quadrature {k!r} must be a positive number")
-        quad[k] = float(v) if k == "pole_guard" else int(v)
-    cases = config.get("cases", merged["cases"])
-    if not isinstance(cases, list) or not all(isinstance(c, dict) for c in cases):
+        raise ConfigError(f"unknown {where} keys {unknown}")
+    return {**defaults, **{k: _read_value(k, v, where, reader)
+                           for k, v in given.items()}}
+
+
+def _read_config(config):
+    """The whole config read over its defaults, quadrature keys flattened."""
+    top = _section(config, "config", default_config(), _ANY)
+    ranges = _section(top["envelope_ranges"], "envelope_ranges",
+                      dict.fromkeys(_ENVELOPES, {}), _ANY)
+    if not isinstance(top["cases"], list):
         raise ConfigError("cases must be a list of objects")
-    for i, c in enumerate(cases):
-        _precheck_case(c, i)
-    return {"tolerances": tol, "cases": cases, "envelope_ranges": env,
-            "quadrature": quad}
-
-
-def _run_case(case, index, ctx):
-    kind = case["kind"]
-    # _precheck_case has already validated a case's own tolerance
-    tol = float(case.get("tolerance", ctx["tolerances"][_TOL_KEY[kind]]))
-    cid = case.get("id", f"{kind}#{index}")
-    if kind in IDENTITY_KINDS:
-        params = {k: v for k, v in case.items()
-                  if k not in ("id", "kind", "tolerance", "method")}
-        if "s" in params:
-            params["s"] = _as_complex(params["s"], "s")
-        ic = IdentityCase(cid, kind, params, tol,
-                          case.get("method", "closed_form"))
-        return [check_identity(ic, ctx["max_evaluations"])]
-    if kind == "rectangle":
-        f = _family_from_case(case)
-        right, left = float(case["right"]), float(case["left"])
-        rect = RectangleSpec(right, right - left, float(case["T"]))
-        return [check_rectangle(f, rect, tol, ctx["max_evaluations"],
-                                ctx["pole_guard"], entry_id=case.get("id"))]
-    if kind == "decay":
-        f = _family_from_case(case)
-        study = decay_study(case["study"], f, float(case["c"]),
-                            case["values"], left=case.get("left"),
-                            threshold=tol,
-                            max_evaluations=ctx["max_evaluations"])
-        return study.entries(case.get("id"))
-    if kind == "envelope":
-        ranges = ctx["envelope_ranges"][case["bound"]]
-        fit = fit_envelope(case["bound"], ranges["fit"], ranges["test"])
-        return [fit.entry(case.get("id"))]
-    # tail_study: strict-growth violations for m >= 2 witness divergence
-    study = asymptotic_tail_terms(_as_complex(case["s"], "s"),
-                                  int(case.get("M", 20)))
-    mags = [abs(t) for t in study.terms]
-    violations = sum(1 for i in range(2, len(mags) - 1)
-                     if not mags[i + 1] > mags[i])
-    return [_entry(case.get("id", f"tail_study#{index}"),
-                   complex(violations), 0j, tol)]
+    return {
+        "tolerances": _section(top["tolerances"], "tolerances",
+                               DEFAULT_TOLERANCES, _POSITIVE),
+        "envelope_ranges": {
+            k: _section(ranges[k], f"envelope_ranges[{k!r}]",
+                        {"fit": fit, "test": test})
+            for k, (_, _, fit, test) in _ENVELOPES.items()},
+        **_section(top["quadrature"], "quadrature", _QUADRATURE),
+        "cases": [_read(c, f"cases[{i}]") for i, c in enumerate(top["cases"])],
+    }
 
 
 def run_suite(config=None):
@@ -647,27 +665,21 @@ def run_suite(config=None):
 
     Malformed configuration raises ConfigError before any case runs; errors
     inside an individual case never abort the suite -- they become failing
-    entries carrying the error text, with sentinel errors of 1e308.
+    entries carrying the error text and the case's tolerance, with sentinel
+    errors of 1e308.
     """
-    resolved = _validate_config(config if config is not None else {})
-    ctx = {
-        "tolerances": resolved["tolerances"],
-        "envelope_ranges": resolved["envelope_ranges"],
-        "pole_guard": resolved["quadrature"]["pole_guard"],
-        "max_evaluations": resolved["quadrature"]["max_evaluations"],
-    }
+    cfg = _read_config(config if config is not None else {})
     entries = []
-    for i, case in enumerate(resolved["cases"]):
+    for i, case in enumerate(cfg["cases"]):
+        kind = case["kind"]
+        _, tol_class, run = _KINDS[kind]
+        tol = case.get("tolerance", cfg["tolerances"][tol_class])
+        name = case.get("id", f"{kind}#{i}")
         try:
-            entries.extend(_run_case(case, i, ctx))
-        except ConfigError:
-            raise
+            entries.extend(run(case, name, tol, cfg))
         except (MBZetaError, ValueError, KeyError, OverflowError,
                 ZeroDivisionError) as exc:
-            tol = resolved["tolerances"].get(
-                _TOL_KEY.get(case.get("kind"), "indicator"), 0.5)
-            entries.append(_failed_entry(
-                case.get("id", f"{case.get('kind')}#{i}"), tol, exc))
+            entries.append(_failed_entry(name, tol, exc))
     environment = {
         "package": "mbzeta",
         "version": __version__,

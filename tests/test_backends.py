@@ -252,6 +252,10 @@ OVERFLOW_CALLS = (
     "contour.integrand_eval(contour.zeta_zeta_gamma(4), complex(-300, 0.5))",
     "contour.integrate_vertical(contour.gamma_power(3+1e6j, 0.5), "
     "contour.VerticalLineSpec(1.0, 1e-8))",
+    "contour.integrate_segment(contour.gamma_power(3, 0.5), 1.5+0.5j, "
+    "1e9+0.5j, 1e-8)",
+    "contour.integrate_rectangle(contour.zeta_zeta_gamma(4), "
+    "contour.RectangleSpec(1.5, 1e9, 1.0), 1e-8)",
 )
 # Inputs whose pole scans once grew with their size, until they exhausted
 # memory: each must return, or raise a named MBZetaError, within a second.
@@ -260,6 +264,8 @@ HUGE_CALLS = (
     "contour.integrate_segment(contour.gamma_power(3, .5), -1e9, -0.5)",
     "contour.integrate_rectangle(contour.gamma_power(3, .5), "
     "contour.RectangleSpec(1.5, 1e9 + 1.5, 1.0))",
+    "verify.check_rectangle(contour.gamma_power(3, 0.5), "
+    "contour.RectangleSpec(1.5, 1e9, 1.0))",
 )
 # Real-s and complex-s lines, one per family each, and one whose tol is
 # below its rounding floor, in the same probe: {call: (tol, outcome)}. Both

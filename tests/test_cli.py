@@ -267,15 +267,48 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["overall_pass"] is True
 
 
-def test_module_invocation_keeps_stderr_clean(tmp_path):
-    # `python -m mbzeta.cli` warns on stderr if `import mbzeta` loads cli
+def _module_env():
     src = str(Path(mbzeta.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "MBZETA_CONFIG"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_invocation_keeps_stderr_clean(tmp_path):
+    # `python -m mbzeta.cli` warns on stderr if `import mbzeta` loads cli
+    env = _module_env()
     proc = subprocess.run(
         [sys.executable, "-m", "mbzeta.cli", "verify", "--format", "text"],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "overall_pass" in proc.stdout
+
+
+def test_verify_report_is_independent_of_hash_seed(tmp_path):
+    # no set order may reach the report: cold runs must agree byte for byte
+    outs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mbzeta.cli", "verify", "--config",
+             "default", "--format", "json"],
+            capture_output=True, env={**_module_env(), "PYTHONHASHSEED": seed},
+            cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("case", [
+    {"kind": "mb_power", "s": 3, "u": [1], "c": 1.2},
+    {"kind": "app_integral", "s": 3, "id": 5},
+    {"kind": "mb_power", "s": 3, "u": 0.5, "c": 1.2, "tolerance": "1e-8"},
+])
+def test_verify_malformed_case_exits_two(tmp_path, capsys, case):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"cases": [case]}))
+    assert main(["verify", "--config", str(cfg), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import oracles
+from mbzeta import verify
 from mbzeta.contour import (RectangleSpec, gamma_power, zeta_gamma_power,
                             zeta_zeta_gamma)
 from mbzeta.errors import ConfigError, DomainViolation, UnknownCaseKind
@@ -275,6 +276,84 @@ def test_report_serialization():
 
 def test_default_config_covers_every_kind():
     kinds = {c["kind"] for c in default_config()["cases"]}
-    assert kinds >= set(IDENTITY_KINDS) | {"rectangle", "decay", "envelope",
-                                           "tail_study"}
+    assert kinds == set(verify._KINDS)
+    assert set(IDENTITY_KINDS) < kinds
+    assert {row[1] for row in verify._KINDS.values()} == set(DEFAULT_TOLERANCES)
     assert DEFAULT_TOLERANCES["indicator"] == 0.5
+
+
+def test_identity_case_reads_its_params():
+    case = IdentityCase("t", "binomial_series",
+                        {"s": [3, 1], "u": 1, "n_terms": 60.0}, 1e-8)
+    assert case.params == {"s": 3 + 1j, "u": 1.0, "n_terms": 60}
+    assert type(case.params["n_terms"]) is int
+    with pytest.raises(ConfigError):
+        IdentityCase("t", "mb_power", {"s": 3.0, "u": 0.5}, 1e-8)  # no c
+    with pytest.raises(ConfigError):
+        IdentityCase("t", "mb_power", {"s": 3.0, "u": "0.5", "c": 1.2}, 1e-8)
+    with pytest.raises(ConfigError):
+        IdentityCase("t", "double_sum", {"s": 4.0}, 1e-6, method="bogus")
+    with pytest.raises(DomainViolation):
+        IdentityCase("t", "mb_power", {"s": 3.0, "u": 0.5, "c": 1.2}, math.inf)
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """The check functions the suite called, each of which now raises."""
+    calls = []
+
+    def fake(name):
+        def check(*args, **kwargs):
+            calls.append(name)
+            raise DomainViolation("ran")
+        return check
+
+    for name in ("check_identity", "check_rectangle", "decay_study",
+                 "fit_envelope", "asymptotic_tail_terms"):
+        monkeypatch.setattr(verify, name, fake(name))
+    return calls
+
+
+_GOOD = {"id": "good", "kind": "mb_power", "s": 3, "u": 0.5, "c": 1.2}
+
+
+def test_ran_fixture_sees_every_runner(ran):
+    r = run_suite()
+    assert set(ran) == {"check_identity", "check_rectangle", "decay_study",
+                        "fit_envelope", "asymptotic_tail_terms"}
+    assert not any(e.passed for e in r.entries)
+
+
+@pytest.mark.parametrize("config", [
+    {"cases": [_GOOD, dict(_GOOD, u=[1])]},
+    {"cases": [_GOOD], "quadrature": {"max_evaluations": math.inf}},
+    {"cases": [_GOOD], "quadrature": {"pole_guard": math.nan}},
+    {"cases": [_GOOD, dict(_GOOD, id=5)]},
+    {"cases": [_GOOD], "envelope_ranges": {"gamma_exp": {"fit": ["a", "b"]}}},
+    {"cases": [_GOOD, {"kind": "decay", "study": "horizontal",
+                       "family": "zeta_zeta_gamma", "s": 4, "c": 1.5,
+                       "left": -4.5, "values": 5}]},
+    {"cases": [_GOOD, {"kind": "rectangle", "family": "zeta_gamma_power",
+                       "s": 4, "right": 1.5, "left": -4.5, "T": 30}]},
+    {"cases": [_GOOD, {"kind": "binomial_series", "s": 3, "u": 0.5,
+                       "n_terms": 1}], "tolerances": {"gamma_only": math.inf}},
+    {"cases": [_GOOD, dict(_GOOD, tolerance=math.inf)]},
+    {"cases": [_GOOD, {"kind": "double_sum", "s": 4, "method": "bogus"}]},
+    {"cases": [_GOOD, {"kind": "tail_study", "s": 4, "M": 20.5}]},
+    {"cases": [_GOOD, 5]},
+    {"cases": [_GOOD], "tolerances": [1e-6]},
+], ids=["u-list", "max-evaluations-inf", "pole-guard-nan", "id-int",
+        "envelope-range-strings", "decay-values-int", "family-param-missing",
+        "class-tolerance-inf", "case-tolerance-inf", "method-bogus",
+        "M-fraction", "case-not-object", "tolerances-not-object"])
+def test_malformed_config_rejected_before_any_case_runs(config, ran):
+    with pytest.raises(ConfigError):
+        run_suite(config)
+    assert ran == []
+
+
+def test_failing_entry_reports_its_case_tolerance():
+    r = run_suite({"cases": [{"id": "bad", "kind": "hurwitz_kernel", "s": 4.0,
+                              "a": 0.5, "c": 1.5, "tolerance": 1e-3}]})
+    assert r.entries[0].error != ""
+    assert r.entries[0].tolerance == 1e-3
