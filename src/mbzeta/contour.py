@@ -1,14 +1,22 @@
-"""Adaptive contour integration for three meromorphic integrand families:
+"""Adaptive contour integration for three meromorphic integrand families,
+all of one shape,
 
-    gamma_power       Gamma(z) Gamma(s-z) u^{-z}
-    zeta_zeta_gamma   zeta(z) zeta(s-z) Gamma(z) Gamma(s-z)
-    zeta_gamma_power  zeta(z) Gamma(z) Gamma(s-z) (a-1)^{z-s}
+    Gamma(z) Gamma(s-z) zeta(z)^i zeta(s-z)^j b^(alpha z + beta s):
 
-supported along vertical lines (with an analytic truncation bound), straight
-segments, axis-aligned rectangles, and the positive real axis. The left poles
-(of Gamma(z) and zeta(z)) lie on the real axis, the right ones (of Gamma(s-z)
-and zeta(s-z)) at s + n; IntegrandFamily lists both fields, and every point,
-path and circle guard asks it.
+    family            (i, j, alpha, beta)   b     integrand
+    gamma_power       (0, 0, -1,  0)        u     Gamma(z) Gamma(s-z) u^{-z}
+    zeta_zeta_gamma   (1, 1,  0,  0)        1     zeta(z) zeta(s-z) Gamma(z) Gamma(s-z)
+    zeta_gamma_power  (1, 0,  1, -1)        a-1   zeta(z) Gamma(z) Gamma(s-z) (a-1)^{z-s}
+
+Poles, residues, line strips and tail bounds are read from the shape, never
+from the family's name; z -> s - z maps the shape onto (j, i, -alpha,
+alpha + beta), which gives the right field's residues from the left's.
+
+The integrals run along vertical lines (with an analytic truncation bound),
+straight segments, axis-aligned rectangles, and the positive real axis. The
+left poles (of Gamma(z) and zeta(z)^i) lie on the real axis, the right ones
+(of Gamma(s-z) and zeta(s-z)^j) at s + n; IntegrandFamily lists both fields,
+and every point, path and circle guard asks it.
 
 Segments, rectangle edges and the real axis use adaptive bisection on an
 embedded 15-point Kronrod / 7-point Gauss pair; panels are
@@ -36,6 +44,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ._backend import kernels
 from ._kernel_constants import (BERNOULLI_FRACTIONS, GAUSS_WEIGHTS, GK_NODES,
@@ -47,7 +56,7 @@ from .specfun import POLE_GUARD
 from .zeta import DEFAULT_CONFIG, _bound_zeta, zeta_negative_integer
 
 __all__ = [
-    "GAMMA_POWER", "ZETA_ZETA_GAMMA", "ZETA_GAMMA_POWER", "FAMILY_TAGS",
+    "GAMMA_POWER", "ZETA_ZETA_GAMMA", "ZETA_GAMMA_POWER",
     "IntegrandFamily", "gamma_power", "zeta_zeta_gamma", "zeta_gamma_power",
     "FAMILY_PARAMS",
     "VerticalLineSpec", "RectangleSpec", "QuadratureResult",
@@ -59,9 +68,6 @@ __all__ = [
 GAMMA_POWER = "gamma_power"
 ZETA_ZETA_GAMMA = "zeta_zeta_gamma"
 ZETA_GAMMA_POWER = "zeta_gamma_power"
-FAMILY_TAGS = (GAMMA_POWER, ZETA_ZETA_GAMMA, ZETA_GAMMA_POWER)
-
-_KERNEL_TAG = {GAMMA_POWER: 0, ZETA_ZETA_GAMMA: 1, ZETA_GAMMA_POWER: 2}
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
@@ -98,8 +104,39 @@ SINH_MIN_SCALE = 4.0
 
 
 @dataclass(frozen=True)
+class _Family:
+    """A family: its kernel's tag; the parameter it takes besides s, or None;
+    what that parameter must satisfy, as a test and in words; the base b it
+    gives; and the shape (i, j, alpha, beta) of
+    Gamma(z) Gamma(s-z) zeta(z)^i zeta(s-z)^j b^(alpha z + beta s)."""
+    kernel_tag: int
+    param: str | None
+    admits: object
+    needs: str
+    base: object
+    shape: tuple
+
+
+_FAMILIES = {
+    GAMMA_POWER: _Family(kernels.TAG_GAMMA_POWER, "u",
+                         lambda u: 0.0 < u <= 1.0, "u in (0, 1]",
+                         lambda u: u, (0, 0, -1, 0)),
+    ZETA_ZETA_GAMMA: _Family(kernels.TAG_ZETA_ZETA_GAMMA, None, None, "",
+                             lambda p: 1.0, (1, 1, 0, 0)),
+    ZETA_GAMMA_POWER: _Family(kernels.TAG_ZETA_GAMMA_POWER, "a",
+                              lambda a: 2.0 <= a < math.inf, "a finite a >= 2",
+                              lambda a: a - 1.0, (1, 0, 1, -1)),
+}
+
+# the parameters each family takes besides s, as IntegrandFamily names them
+FAMILY_PARAMS = {tag: (row.param,) if row.param else ()
+                 for tag, row in _FAMILIES.items()}
+
+
+@dataclass(frozen=True)
 class IntegrandFamily:
-    """Tagged integrand; u is gamma_power-only, a is zeta_gamma_power-only."""
+    """A family of _FAMILIES at s, with u for gamma_power and a for
+    zeta_gamma_power; a zeta factor needs Re(s) > 2."""
     tag: str
     s: complex
     u: float | None = None
@@ -110,55 +147,59 @@ class IntegrandFamily:
         object.__setattr__(self, "s", s)
         if not (math.isfinite(s.real) and math.isfinite(s.imag)):
             raise DomainViolation("s must be finite")
-        if self.tag == GAMMA_POWER:
-            if self.u is None or not 0.0 < self.u <= 1.0:
-                raise DomainViolation(f"gamma_power needs u in (0, 1], got {self.u}")
-            if self.a is not None:
-                raise DomainViolation("gamma_power takes no parameter a")
-        elif self.tag == ZETA_ZETA_GAMMA:
-            if s.real <= 2.0:
-                raise DomainViolation(f"zeta_zeta_gamma needs Re(s) > 2, got {s}")
-            if self.u is not None or self.a is not None:
-                raise DomainViolation("zeta_zeta_gamma takes no u or a")
-        elif self.tag == ZETA_GAMMA_POWER:
-            if s.real <= 2.0:
-                raise DomainViolation(f"zeta_gamma_power needs Re(s) > 2, got {s}")
-            if self.a is None or not 2.0 <= self.a < math.inf:
-                raise DomainViolation(
-                    f"zeta_gamma_power needs a finite a >= 2, got {self.a}")
-            if self.u is not None:
-                raise DomainViolation("zeta_gamma_power takes no parameter u")
-        else:
+        if not (isinstance(self.tag, str) and self.tag in _FAMILIES):
             raise DomainViolation(f"unknown family tag {self.tag!r}")
+        row = _FAMILIES[self.tag]
+        i, j = row.shape[:2]
+        if (i or j) and s.real <= 2.0:
+            raise DomainViolation(f"{self.tag} needs Re(s) > 2, got {s}")
+        for name in ("u", "a"):
+            value = getattr(self, name)
+            if name == row.param:
+                if value is None or not row.admits(value):
+                    raise DomainViolation(
+                        f"{self.tag} needs {row.needs}, got {value}")
+            elif value is not None:
+                raise DomainViolation(f"{self.tag} takes no parameter {name}")
 
     @property
     def param(self):
-        if self.tag == GAMMA_POWER:
-            return self.u
-        if self.tag == ZETA_GAMMA_POWER:
-            return self.a
-        return 0.0
+        """The kernel's parameter: u, a, or 0.0 for a family without one."""
+        name = _FAMILIES[self.tag].param
+        return getattr(self, name) if name else 0.0
+
+    @property
+    def shape(self):
+        """(i, j, alpha, beta) of the integrand
+        Gamma(z) Gamma(s-z) zeta(z)^i zeta(s-z)^j b^(alpha z + beta s)."""
+        return _FAMILIES[self.tag].shape
+
+    @property
+    def base(self):
+        """The base b of the shape's power."""
+        return _FAMILIES[self.tag].base(self.param)
 
     def is_pole(self, n):
-        """Whether the integer n is a pole of the left field."""
-        return n == int(n) and bool(self.poles(n, n))
+        """Whether n is a pole of the left field."""
+        return bool(self.poles(n, n))
 
     def poles(self, lo, hi):
         """The left poles n with lo <= n <= hi, ascending: those of Gamma(z),
-        and of zeta(z) for the zeta families. The residue sums cover these.
+        and of zeta(z) if i = 1. The residue sums cover these.
 
-        The field ends at 0 for gamma_power and at 1 for the zeta families,
-        so hi may be arbitrarily large.
+        The field ends at 0, or at 1 if i = 1, so hi may be arbitrarily large
+        but not infinite.
         """
-        return _field(self.tag != GAMMA_POWER, lo, hi)
+        require_finite(lo=lo, hi=hi)
+        return _field(self.shape[0], lo, hi)
 
     def poles_around(self, x_left, x_right):
         """The left-field poles around Re z = x_left and the right-field
         poles around Re z = x_right, as two lists of complex points, each in
         ascending order of its field's member. The right poles are s - q for
-        the members q of the left field of Gamma, or for zeta_zeta_gamma of
-        zeta Gamma: s + n for n >= 0 from Gamma(s-z), and s - 1 from
-        zeta(s-z), whose trivial zeros cancel s + n for even n >= 2.
+        the members q of the left field of Gamma, or of zeta Gamma if j = 1:
+        s + n for n >= 0 from Gamma(s-z), and s - 1 from zeta(s-z), whose
+        trivial zeros cancel s + n for even n >= 2.
 
         Each list holds its field's members on both sides of the abscissa
         and next to it, so the two members nearest to any point on that
@@ -166,9 +207,9 @@ class IntegrandFamily:
         lies.
         """
         s = self.s
-        return ([complex(n) for n in _window(self.tag != GAMMA_POWER, x_left)],
-                [s - q for q in
-                 _window(self.tag == ZETA_ZETA_GAMMA, s.real - x_right)])
+        i, j = self.shape[:2]
+        return ([complex(n) for n in _window(i, x_left)],
+                [s - q for q in _window(j, s.real - x_right)])
 
     def nearest_pole(self, z):
         """Closest pole of either field to z, the lower member on ties."""
@@ -209,11 +250,6 @@ def zeta_gamma_power(s, a):
     return IntegrandFamily(ZETA_GAMMA_POWER, complex(s), a=float(a))
 
 
-# the parameters each family takes besides s, as IntegrandFamily names them
-FAMILY_PARAMS = {GAMMA_POWER: ("u",), ZETA_ZETA_GAMMA: (),
-                 ZETA_GAMMA_POWER: ("a",)}
-
-
 @dataclass(frozen=True)
 class VerticalLineSpec:
     """Line Re z = c for a 1/(2*pi*i) principal-value-free line integral."""
@@ -222,17 +258,16 @@ class VerticalLineSpec:
 
     def validate_for(self, family):
         require_tol(self.tol)
-        sigma = family.s.real
-        if family.tag == GAMMA_POWER:
-            if not (self.c >= 0.5 and sigma - self.c >= 0.5):
-                raise DomainViolation(
-                    f"gamma_power line needs c >= 1/2 and Re(s)-c >= 1/2; "
-                    f"c={self.c}, Re(s)={sigma}")
+        c, sigma = self.c, family.s.real
+        i, j = family.shape[:2]
+        if i or j:
+            ok, needs = c > 1.0 and sigma - c > 1.0, "c > 1 and Re(s)-c > 1"
         else:
-            if not (self.c > 1.0 and sigma - self.c > 1.0):
-                raise DomainViolation(
-                    f"{family.tag} line needs c > 1 and Re(s)-c > 1; "
-                    f"c={self.c}, Re(s)={sigma}")
+            ok, needs = (c >= 0.5 and sigma - c >= 0.5,
+                         "c >= 1/2 and Re(s)-c >= 1/2")
+        if not ok:
+            raise DomainViolation(
+                f"{family.tag} line needs {needs}; c={c}, Re(s)={sigma}")
 
 
 @dataclass(frozen=True)
@@ -285,7 +320,7 @@ def _bound_integrand(f):
     No pole guard: the quadrature loops check their paths once up front.
     """
     em_min, em_per_im = DEFAULT_CONFIG._term_args()
-    tag = _KERNEL_TAG[f.tag]
+    tag = _FAMILIES[f.tag].kernel_tag
     s, p = f.s, f.param
     order = DEFAULT_CONFIG.correction_order
     reflect_below = DEFAULT_CONFIG.reflect_below
@@ -538,14 +573,17 @@ def _pair_tail_bound(x0, s, T, extra):
 
 
 def _line_extra_const(f, x0):
-    """Max modulus of the non-Gamma-pair factors along Re z = x0."""
-    if f.tag == GAMMA_POWER:
-        return f.u ** (-x0)
-    z_left = abs(kernels.riemann_zeta(complex(x0)))
-    z_right = abs(kernels.riemann_zeta(complex(f.s.real - x0)))
-    if f.tag == ZETA_ZETA_GAMMA:
-        return z_left * z_right
-    return z_left * (f.a - 1.0) ** (x0 - f.s.real)
+    """Max modulus of the non-Gamma-pair factors along Re z = x0: the power
+    has modulus b^(alpha x0 + beta Re s) there, and each zeta factor its
+    modulus on the real axis, where it is largest right of 1."""
+    i, j, alpha, beta = f.shape
+    sigma = f.s.real
+    extra = f.base ** (alpha * x0 + beta * sigma)
+    if i:
+        extra *= abs(kernels.riemann_zeta(complex(x0)))
+    if j:
+        extra *= abs(kernels.riemann_zeta(complex(sigma - x0)))
+    return extra
 
 
 def _gamma_value(w):
@@ -554,56 +592,54 @@ def _gamma_value(w):
     return cmath.exp(kernels.loggamma(w))
 
 
+def _pole_coefficient(i, n):
+    """The residue of Gamma(z) zeta(z)^i at its pole n, rounded once: zeta's
+    pole at 1 has residue 1 and Gamma(1) = 1; Res Gamma(z) at -m is
+    (-1)^m / m!, and zeta(-m) is -1/2 at m = 0."""
+    if n == 1:
+        return 1.0
+    m = -n
+    c = Fraction((-1) ** m, math.factorial(m))
+    if i:
+        c *= zeta_negative_integer(m) if m else Fraction(-1, 2)
+    return float(c)
+
+
+def _residue(shape, s, b, n):
+    """(residue of Gamma(z) Gamma(s-z) zeta(z)^i zeta(s-z)^j b^(alpha z +
+    beta s) at the member n of its left field, kernel calls made)."""
+    i, j, alpha, beta = shape
+    w = s - n
+    value = _pole_coefficient(i, n) * _gamma_value(w)
+    if j:
+        value *= _bound_zeta(DEFAULT_CONFIG)(w)
+    return value * b ** (alpha * n + beta * s), 1 + j
+
+
 def _left_residue(f, n):
     """(residue of the integrand at the left-field pole n, kernel calls
-    made): Res Gamma(z) at -m is (-1)^m / m!, and zeta's pole at 1 has
-    residue 1; residues.residue_at reports these."""
-    s = f.s
-    n = round(n.real)
-    if f.tag == GAMMA_POWER:
-        m = -n
-        return (((-1) ** m) / math.factorial(m)) * _gamma_value(s + m) * f.u ** m, 1
-    zeta = _bound_zeta(DEFAULT_CONFIG)
-    am1 = (f.a - 1.0) if f.tag == ZETA_GAMMA_POWER else None
-    if n == 1:
-        value = _gamma_value(s - 1.0)
-        value *= zeta(s - 1.0) if f.tag == ZETA_ZETA_GAMMA else am1 ** (1.0 - s)
-    elif n == 0:
-        value = -0.5 * _gamma_value(s)
-        value *= zeta(s) if f.tag == ZETA_ZETA_GAMMA else am1 ** (-s)
-    else:
-        m = (-n - 1) // 2
-        value = (-float(zeta_negative_integer(2 * m + 1)) * _gamma_value(s + 2 * m + 1)
-                 / math.factorial(2 * m + 1))
-        value *= (zeta(s + 2 * m + 1) if f.tag == ZETA_ZETA_GAMMA
-                  else am1 ** (-s - 2 * m - 1))
-    return value, 1 + (f.tag == ZETA_ZETA_GAMMA)
+    made); residues.residue_at reports these."""
+    return _residue(f.shape, f.s, f.base, round(n.real))
 
 
 def _right_residue(f, p):
     """(residue of the integrand at the right-field pole p, kernel calls
-    made), through z -> s - z, which maps p onto the left-field member
-    s - p."""
-    s = f.s
-    if f.tag == ZETA_ZETA_GAMMA:
-        # the integrand is symmetric under z -> s - z
-        r, calls = _left_residue(f, s - p)
-        return -r, calls
-    # Gamma(s - z) at z = s + n is -(-1)^n / n! / (z - s - n)
-    n = round(p.real - s.real)
-    w = s + n
-    r = -(((-1) ** n) / math.factorial(n)) * _gamma_value(w)
-    if f.tag == GAMMA_POWER:
-        return r * f.u ** (-w), 1
-    return r * _bound_zeta(DEFAULT_CONFIG)(w) * (f.a - 1.0) ** n, 2
+    made). z -> s - z maps the integrand onto the shape (j, i, -alpha,
+    alpha + beta), p onto a member s - p of that shape's left field, and the
+    residue onto its negative."""
+    i, j, alpha, beta = f.shape
+    r, calls = _residue((j, i, -alpha, alpha + beta), f.s, f.base,
+                        round((f.s - p).real))
+    return -r, calls
 
 
 def _integrate_vertical_unchecked(f, x0, tol,
                                   max_evaluations=DEFAULT_MAX_EVALUATIONS):
     # Core of integrate_vertical without the convergence-strip validation.
     # _line_extra_const must bound the non-Gamma factors at x0, which holds
-    # for gamma_power at any real x0 but for zeta families only inside their
-    # admissible strip -- callers shifting left of it pass gamma_power only.
+    # at any real x0 for a shape without zeta factors but with one only
+    # inside the admissible strip -- callers shifting left of it pass
+    # zeta-free shapes only.
     extra = _line_extra_const(f, x0)
     T = max(abs(f.s.imag) + 10.0, 15.0)
     while _pair_tail_bound(x0, f.s, T, extra) > 0.5 * tol:

@@ -2,21 +2,22 @@
 a small-circle numerical residue oracle, and the asymptotic tail study that
 witnesses the divergence of the infinite residue series.
 
-Left pole field, on the real axis:
-    gamma_power       simple poles at 0, -1, -2, ... (Gamma factor)
-    zeta families     zeta pole at 1, Gamma pole at 0, and combined poles at
-                      negative odd integers; negative even integers are
-                      regular because the trivial zeta zeros cancel them.
-The residues here cover this field only; the right field of Gamma(s-z) and
-zeta(s-z) is guarded against but never enumerated.
+Left pole field, on the real axis, of Gamma(z) zeta(z)^i:
+    i = 0 (gamma_power)   simple poles at 0, -1, -2, ... (Gamma factor)
+    i = 1 (zeta families) zeta pole at 1, Gamma pole at 0, and combined poles
+                          at negative odd integers; negative even integers
+                          are regular because the trivial zeta zeros cancel
+                          them.
+Rectangle residue sums cover this field only, and a rectangle that reaches
+the right field of Gamma(s-z) zeta(s-z)^j raises. The right field's residues
+(contour._right_residue) serve the pole subtraction of complex-s lines.
 """
 import cmath
 import math
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .contour import (GAMMA_POWER, _bound_integrand, _left_residue,
-                      _nested_trapezoid)
+from .contour import _bound_integrand, _left_residue, _nested_trapezoid
 from .errors import (DomainViolation, NotAPole, OverflowRegime, PoleOnBoundary,
                      PoleOnCircle, require_finite, require_tol)
 from .specfun import POLE_GUARD
@@ -61,18 +62,18 @@ class TailStudy:
 
 
 def classify_pole(f, position):
-    """PoleLocation for an integer position, or NotAPole."""
-    if position != int(position) or not f.is_pole(position):
+    """PoleLocation for a left-field pole position, or NotAPole: the pole at
+    1 is zeta's, those below 0 are combined when i = 1, and the rest are
+    Gamma's."""
+    if not f.is_pole(position):
         raise NotAPole(f"z = {position} is not a pole of {f.tag}")
     n = int(position)
-    if f.tag == GAMMA_POWER:
-        kind = GAMMA_POLE
-    elif n == 1:
+    if n == 1:
         kind = ZETA_POLE
-    elif n == 0:
-        kind = GAMMA_POLE
-    else:
+    elif n < 0 and f.shape[0]:
         kind = ODD_COMBINED
+    else:
+        kind = GAMMA_POLE
     return PoleLocation(n, kind)
 
 

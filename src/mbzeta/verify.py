@@ -6,7 +6,8 @@ Entry semantics: every report row carries lhs, rhs, abs_err, rel_err and a
 tolerance, and passes iff abs_err <= tolerance or rel_err <= tolerance.
 Boolean facts (monotone decay, zero envelope violations, tail growth) are
 encoded as counting rows -- lhs = number of violations against rhs = 0 with
-tolerance 0.5 -- so the pass rule above remains the single source of truth.
+the indicator tolerance (0.5 by default) -- so the pass rule above remains
+the single source of truth.
 Each case kind is one row of _KINDS, and _READERS says how each key is read.
 """
 import cmath
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from ._backend import BACKEND, kernels
 from ._kernel_constants import EM_COEFFS
 from ._version import __version__
-from .contour import (DEFAULT_MAX_EVALUATIONS, FAMILY_PARAMS, GAMMA_POWER,
+from .contour import (DEFAULT_MAX_EVALUATIONS, FAMILY_PARAMS,
                       IntegrandFamily, RectangleSpec, VerticalLineSpec,
                       _integrate_vertical_unchecked, gamma_power,
                       integrate_real_improper, integrate_rectangle,
@@ -216,12 +217,13 @@ def check_rectangle(f, rect, tol=1e-6,
     return _entry(entry_id, lhs, rhs, tol)
 
 
-_DECAY_STUDIES = ("vertical_shift", "horizontal")
+# the parameters each decay study takes besides those of the decay kind
+_STUDY_PARAMS = {"vertical_shift": (), "horizontal": ("left",)}
 
 
 @dataclass(frozen=True)
 class DecayStudy:
-    kind: str                  # one of _DECAY_STUDIES
+    kind: str                  # one of _STUDY_PARAMS
     family_tag: str
     abscissa: float            # right abscissa c
     values: tuple              # shifts k (vertical) or heights T (horizontal)
@@ -234,14 +236,17 @@ class DecayStudy:
     def passed(self):
         return self.strictly_decreasing and self.final_below
 
-    def entries(self, prefix=None):
+    def entries(self, prefix=None, tolerance=0.5):
+        """The .final row at the threshold, and the .monotone counting row
+        at the indicator tolerance."""
         if prefix is None:
             prefix = f"decay_{self.kind}[{self.family_tag}]"
         final = _entry(prefix + ".final", self.magnitudes[-1], 0j,
                        self.threshold)
         violations = sum(1 for a, b in zip(self.magnitudes, self.magnitudes[1:])
                          if not b < a)
-        monotone = _entry(prefix + ".monotone", complex(violations), 0j, 0.5)
+        monotone = _entry(prefix + ".monotone", complex(violations), 0j,
+                          tolerance)
         return [final, monotone]
 
 
@@ -250,13 +255,14 @@ def decay_study(kind, f, c, values, left=None, threshold=1e-6,
     """Magnitude table for the two decay mechanisms behind contour shifting.
 
     vertical_shift: |full line integral| at abscissas c - k for k in values
-    (gamma_power only; its tail bound holds on every vertical line, and the
-    magnitudes reproduce the binomial-series tail beyond the swept poles).
+    (families without zeta factors, gamma_power: their tail bound holds on
+    every vertical line, and the magnitudes reproduce the binomial-series
+    tail beyond the swept poles).
 
     horizontal: |top edge integral| from c + iT to left + iT for T in values,
     witnessing that rectangle lids vanish as the rectangle grows tall.
     """
-    if kind not in _DECAY_STUDIES:
+    if kind not in _STUDY_PARAMS:
         raise DomainViolation(f"unknown decay study kind {kind!r}")
     values = tuple(float(v) for v in values)
     if len(values) < 2 or any(b <= a for a, b in zip(values, values[1:])):
@@ -264,9 +270,11 @@ def decay_study(kind, f, c, values, left=None, threshold=1e-6,
     qt = max(1e-3 * threshold, 1e-13)
     mags = []
     if kind == "vertical_shift":
-        if f.tag != GAMMA_POWER:
+        i, j = f.shape[:2]
+        if i or j:
             raise DomainViolation(
-                "vertical_shift decay is defined for the gamma_power family")
+                "vertical_shift decay is defined for families without zeta "
+                "factors (gamma_power)")
         for k in values:
             if k <= 0.0:
                 raise DomainViolation("shifts must be positive")
@@ -315,12 +323,13 @@ class EnvelopeFit:
     def passed(self):
         return self.violations == 0
 
-    def entry(self, entry_id=None):
+    def entry(self, entry_id=None, tolerance=0.5):
+        """The counting row of the violations."""
         if entry_id is None:
             entry_id = (f"envelope[{self.bound_kind},fit={self.fit_range[0]:g}"
                         f"..{self.fit_range[1]:g},test={self.test_range[0]:g}"
                         f"..{self.test_range[1]:g}]")
-        return _entry(entry_id, complex(self.violations), 0j, 0.5)
+        return _entry(entry_id, complex(self.violations), 0j, tolerance)
 
 
 def _grid(lo, hi, n):
@@ -440,13 +449,13 @@ def _run_decay(case, name, tol, cfg):
     study = decay_study(case["study"], _family(case), case["c"],
                         case["values"], left=case.get("left"), threshold=tol,
                         max_evaluations=cfg["max_evaluations"])
-    return study.entries(case.get("id"))
+    return study.entries(case.get("id"), cfg["tolerances"]["indicator"])
 
 
 def _run_envelope(case, name, tol, cfg):
     ranges = cfg["envelope_ranges"][case["bound"]]
     fit = fit_envelope(case["bound"], ranges["fit"], ranges["test"])
-    return [fit.entry(case.get("id"))]
+    return [fit.entry(case.get("id"), tol)]
 
 
 def _run_tail_study(case, name, tol, cfg):
@@ -459,7 +468,8 @@ def _run_tail_study(case, name, tol, cfg):
 
 
 # kind: (required params, tolerance class, runner). A family's own
-# parameters (FAMILY_PARAMS) are required with it.
+# parameters (FAMILY_PARAMS) and a study's (_STUDY_PARAMS) are required
+# with it.
 _KINDS = {
     "mb_power": (("s", "u", "c"), "gamma_only", _Identity(_mb_power)),
     "binomial_series": (("s", "u", "n_terms"), "gamma_only",
@@ -529,7 +539,7 @@ _READERS = {
                     (_real, "a finite number")),
     "n_terms": (_integer, "an integer"), "M": (_integer, "an integer"),
     "values": (_reals, "a list of finite numbers"),
-    "family": _one_of(FAMILY_PARAMS), "study": _one_of(_DECAY_STUDIES),
+    "family": _one_of(FAMILY_PARAMS), "study": _one_of(_STUDY_PARAMS),
     "bound": _one_of(_ENVELOPES),
     # quadrature and envelope_ranges keys
     "pole_guard": _POSITIVE,
@@ -550,14 +560,15 @@ def _read_value(key, value, where, reader=None):
 
 def _read(raw, where, kind=None):
     """The keys of raw that _READERS knows, each read, with the parameters
-    of its kind (raw["kind"] if not given) and of its family present."""
+    of its kind (raw["kind"] if not given), family and study present."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
     kind = kind or _read_value("kind", raw.get("kind"), where)
     case = {k: _read_value(k, v, where) for k, v in raw.items()
             if k in _READERS}
     missing = [k for k in _KINDS[kind][0]
-               + FAMILY_PARAMS.get(case.get("family"), ()) if k not in case]
+               + FAMILY_PARAMS.get(case.get("family"), ())
+               + _STUDY_PARAMS.get(case.get("study"), ()) if k not in case]
     if missing:
         raise ConfigError(f"{where} ({kind}) is missing {missing}")
     return case

@@ -240,6 +240,21 @@ NON_FINITE_CALLS = (
     "contour.integrate_segment(contour.gamma_power(3, .5), complex(1, inf), 1+1j)",
     "contour.zeta_gamma_power(4, nan)",
     "contour.zeta_gamma_power(4, inf)",
+    "residues.classify_pole(contour.zeta_zeta_gamma(4), nan)",
+    "residues.classify_pole(contour.zeta_zeta_gamma(4), inf)",
+    "residues.classify_pole(contour.gamma_power(3, .5), -inf)",
+    "residues.residue_at(contour.gamma_power(3, .5), nan)",
+    "residues.residue_at(contour.zeta_gamma_power(4, 2), inf)",
+    "residues.residue_at(contour.zeta_zeta_gamma(4), -inf)",
+    "residues.residue_at(contour.gamma_power(3, .5), "
+    "residues.PoleLocation(nan, residues.GAMMA_POLE))",
+    "contour.gamma_power(3, .5).is_pole(nan)",
+    "contour.zeta_zeta_gamma(4).is_pole(inf)",
+    "contour.zeta_gamma_power(4, 2).is_pole(-inf)",
+    "contour.gamma_power(3, .5).poles(nan, 0)",
+    "contour.zeta_zeta_gamma(4).poles(inf, 0)",
+    "contour.gamma_power(3, .5).poles(-inf, 0)",
+    "contour.zeta_gamma_power(4, 2).poles(0, inf)",
 )
 # Finite input whose value overflows binary64 must raise OverflowRegime, in
 # the same probe.

@@ -37,6 +37,49 @@ def test_family_validation():
     with pytest.raises(DomainViolation):
         zeta_gamma_power(4.0, 1.5)  # needs a >= 2
     zeta_gamma_power(4.0, 2.0)
+    for family in (lambda: contour.IntegrandFamily("zeta_zeta_gamma", 4.0, u=0.5),
+                   lambda: contour.IntegrandFamily("zeta_zeta_gamma", 4.0, a=2.0),
+                   lambda: contour.IntegrandFamily("zeta_gamma_power", 4.0,
+                                                   u=0.5, a=2.0),
+                   lambda: contour.IntegrandFamily("gamma_power", 3.0, u=0.5,
+                                                   a=2.0),
+                   lambda: contour.IntegrandFamily("gamma_power", 3.0),
+                   lambda: contour.IntegrandFamily("zeta_gamma_power", 4.0),
+                   lambda: contour.IntegrandFamily("gamma_zeta", 4.0),
+                   lambda: contour.IntegrandFamily(0, 4.0),
+                   lambda: gamma_power(3.0, math.nan),
+                   lambda: gamma_power(3.0, math.inf),
+                   lambda: zeta_gamma_power(4.0, math.nan),
+                   lambda: zeta_gamma_power(4.0, math.inf)):
+        with pytest.raises(DomainViolation):
+            family()
+
+
+def _shape_value(shape, b, s, z):
+    """Gamma(z) Gamma(s-z) zeta(z)^i zeta(s-z)^j b^(alpha z + beta s) from
+    the public gamma and zeta, for shape (i, j, alpha, beta)."""
+    i, j, alpha, beta = shape
+    return (specfun.gamma(z) * specfun.gamma(s - z) * riemann_zeta(z) ** i
+            * riemann_zeta(s - z) ** j * b ** (alpha * z + beta * s))
+
+
+@pytest.mark.parametrize("f", [
+    gamma_power(3.0, 0.5), gamma_power(3.5 + 2.0j, 0.3),
+    zeta_zeta_gamma(4.0), zeta_zeta_gamma(4.5 - 1.5j),
+    zeta_gamma_power(4.0, 2.5), zeta_gamma_power(5.0 + 3.0j, 3.0)],
+    ids=lambda f: f"{f.tag}-{f.s}")
+def test_shape_matches_the_kernel_integrand(f):
+    # the table's shape and the kernel's tag share no code: the kernel
+    # integrand must be the shape at z, and the mirrored shape
+    # (j, i, -alpha, alpha + beta) at s - z
+    i, j, alpha, beta = f.shape
+    mirrored = (j, i, -alpha, alpha + beta)
+    for z in (1.5 + 0.7j, 1.3 - 2.0j, 2.2 + 5.0j, 0.5 - 0.5j, -1.5 + 0.25j):
+        value = integrand_eval(f, z)
+        for expected in (_shape_value(f.shape, f.base, f.s, z),
+                         _shape_value(mirrored, f.base, f.s, f.s - z)):
+            assert abs(value - expected) <= 1e-12 * abs(expected), (z, value,
+                                                                   expected)
 
 
 def test_pole_predicates():

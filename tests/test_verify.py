@@ -127,6 +127,8 @@ def test_decay_vertical_rejects_zeta_families():
     with pytest.raises(DomainViolation):
         decay_study("vertical_shift", zeta_zeta_gamma(4.0), 1.5, [10, 20])
     with pytest.raises(DomainViolation):
+        decay_study("vertical_shift", zeta_gamma_power(4.0, 2.0), 1.5, [10, 20])
+    with pytest.raises(DomainViolation):
         decay_study("vertical_shift", gamma_power(3.0, 0.5), 0.5, [])
     with pytest.raises(DomainViolation):
         decay_study("vertical_shift", gamma_power(3.0, 0.5), 0.5, [3, 2])
@@ -342,10 +344,14 @@ def test_ran_fixture_sees_every_runner(ran):
     {"cases": [_GOOD, {"kind": "tail_study", "s": 4, "M": 20.5}]},
     {"cases": [_GOOD, 5]},
     {"cases": [_GOOD], "tolerances": [1e-6]},
+    {"cases": [_GOOD, {"kind": "decay", "study": "horizontal",
+                       "family": "zeta_zeta_gamma", "s": 4, "c": 1.5,
+                       "values": [10, 20, 30]}]},
 ], ids=["u-list", "max-evaluations-inf", "pole-guard-nan", "id-int",
         "envelope-range-strings", "decay-values-int", "family-param-missing",
         "class-tolerance-inf", "case-tolerance-inf", "method-bogus",
-        "M-fraction", "case-not-object", "tolerances-not-object"])
+        "M-fraction", "case-not-object", "tolerances-not-object",
+        "study-param-missing"])
 def test_malformed_config_rejected_before_any_case_runs(config, ran):
     with pytest.raises(ConfigError):
         run_suite(config)
@@ -357,3 +363,19 @@ def test_failing_entry_reports_its_case_tolerance():
                               "a": 0.5, "c": 1.5, "tolerance": 1e-3}]})
     assert r.entries[0].error != ""
     assert r.entries[0].tolerance == 1e-3
+
+
+def test_counting_rows_take_the_indicator_tolerance():
+    # an envelope row takes its case's tolerance, else tolerances.indicator;
+    # a decay study's .final row takes the threshold and .monotone the
+    # indicator
+    r = run_suite({"tolerances": {"indicator": 0.25, "decay_threshold": 1e-5},
+                   "cases": [
+                       {"kind": "envelope", "bound": "gamma_exp",
+                        "tolerance": 0.1},
+                       {"kind": "envelope", "bound": "gamma_exp"},
+                       {"kind": "decay", "study": "horizontal",
+                        "family": "zeta_zeta_gamma", "s": 4, "c": 1.5,
+                        "left": -4.5, "values": [10, 20, 30]}]})
+    assert [e.tolerance for e in r.entries] == [0.1, 0.25, 1e-5, 0.25]
+    assert r.overall_pass
