@@ -60,7 +60,8 @@ static double complex complex_gamma(double complex z) {
     return cexp(loggamma(z));
 }
 
-/* sum_{n=0}^{n_terms-1} (n+a)^{-s} plus the Euler-Maclaurin tail at n_terms+a */
+/* sum_{n=0}^{n_terms-1} (n+a)^{-s} plus the Euler-Maclaurin tail at n_terms+a,
+ * whose corrections stop at order, or after the first below 2^-53 of the sum */
 static double complex zeta_em(double complex s, double a, long n_terms, long order) {
     double complex acc = 0.0;
     for (long n = 0; n < n_terms; n++)
@@ -70,7 +71,10 @@ static double complex zeta_em(double complex s, double a, long n_terms, long ord
     acc += xs * x / (s - 1.0) + 0.5 * xs;
     double complex poch = s, pw = xs / x;
     for (long k = 1; k <= order / 2; k++) {
-        acc += EM[k - 1] * poch * pw;
+        double complex term = EM[k - 1] * poch * pw;
+        acc += term;
+        if (cabs(term) < 0x1p-53 * cabs(acc))
+            break;
         poch *= (s + (2 * k - 1)) * (s + 2 * k);
         pw /= x * x;
     }
@@ -157,8 +161,8 @@ static PyObject *py_zeta_em(KERNEL_ARGS) {
 
 static PyObject *py_riemann_zeta(KERNEL_ARGS) {
     double complex s;
-    long em_min = 20, order = 12;
-    double em_per_im = 2.0, reflect_below = 0.5;
+    long em_min = 16, order = 32;
+    double em_per_im = 0.5, reflect_below = 0.5;
     return read_args("riemann_zeta", args, nargs, 1, "cldod", &s, &em_min, &em_per_im,
                      &order, &reflect_below)
            ? NULL : to_py(riemann_zeta(s, em_min, em_per_im, order, reflect_below));
@@ -166,17 +170,17 @@ static PyObject *py_riemann_zeta(KERNEL_ARGS) {
 
 static PyObject *py_hurwitz_zeta(KERNEL_ARGS) {
     double complex s;
-    double a, em_per_im = 2.0;
-    long em_min = 20, order = 12;
+    double a, em_per_im = 0.5;
+    long em_min = 16, order = 32;
     return read_args("hurwitz_zeta", args, nargs, 2, "cdldo", &s, &a, &em_min,
                      &em_per_im, &order)
            ? NULL : to_py(zeta_em(s, a, term_count(s, em_min, em_per_im), order));
 }
 
 static PyObject *py_integrand(KERNEL_ARGS) {
-    long tag, em_min = 20, order = 12;
+    long tag, em_min = 16, order = 32;
     double complex s, z;
-    double p, em_per_im = 2.0, reflect_below = 0.5;
+    double p, em_per_im = 0.5, reflect_below = 0.5;
     if (read_args("integrand", args, nargs, 4, "lcdcldod", &tag, &s, &p, &z, &em_min,
                   &em_per_im, &order, &reflect_below))
         return NULL;
@@ -202,11 +206,11 @@ static PyMethodDef methods[] = {
     METHOD(loggamma, "z", "Principal-lift log Gamma (real on the positive real axis)."),
     METHOD(gamma, "z", "Gamma(z), by reflection for Re z < 1/2."),
     METHOD(zeta_em, "s, a, n_terms, order", "sum_{n<n_terms} (n+a)^{-s} plus the EM tail."),
-    METHOD(riemann_zeta, "s, em_min=20, em_per_im=2.0, order=12, reflect_below=0.5",
+    METHOD(riemann_zeta, "s, em_min=16, em_per_im=0.5, order=32, reflect_below=0.5",
            "Riemann zeta; the functional equation below Re s = reflect_below."),
-    METHOD(hurwitz_zeta, "s, a, em_min=20, em_per_im=2.0, order=12",
+    METHOD(hurwitz_zeta, "s, a, em_min=16, em_per_im=0.5, order=32",
            "Hurwitz zeta sum_{n>=0} (n+a)^{-s} by Euler-Maclaurin."),
-    METHOD(integrand, "tag, s, p, z, em_min=20, em_per_im=2.0, order=12, reflect_below=0.5",
+    METHOD(integrand, "tag, s, p, z, em_min=16, em_per_im=0.5, order=32, reflect_below=0.5",
            "Meromorphic line integrands; see the pure-Python twin for the catalog."),
     {NULL, NULL, 0, NULL},
 };

@@ -14,6 +14,7 @@ BACKEND_NAME = "python"
 _LOG_PI = math.log(math.pi)
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+_UNIT_ROUNDOFF = 2.0 ** -53
 # sector where the 10-term Stirling series is used directly
 _ASYM_RADIUS = 16.0
 
@@ -61,7 +62,11 @@ def gamma(z):
 
 
 def zeta_em(s, a, n_terms, order):
-    """sum_{n=0}^{n_terms-1} (n+a)^{-s} plus the Euler-Maclaurin tail at n_terms+a."""
+    """sum_{n=0}^{n_terms-1} (n+a)^{-s} plus the Euler-Maclaurin tail at n_terms+a.
+
+    The tail's Bernoulli corrections stop at order, or after the first one
+    below 2^-53 of the running sum.
+    """
     s = complex(s)
     acc = 0j
     for n in range(n_terms):
@@ -72,13 +77,16 @@ def zeta_em(s, a, n_terms, order):
     poch = s
     pw = xs / x
     for k in range(1, order // 2 + 1):
-        acc += EM_COEFFS[k - 1] * poch * pw
+        term = EM_COEFFS[k - 1] * poch * pw
+        acc += term
+        if abs(term) < _UNIT_ROUNDOFF * abs(acc):
+            break
         poch *= (s + (2 * k - 1)) * (s + 2 * k)
         pw /= x * x
     return acc
 
 
-def riemann_zeta(s, em_min=20, em_per_im=2.0, order=12, reflect_below=0.5):
+def riemann_zeta(s, em_min=16, em_per_im=0.5, order=32, reflect_below=0.5):
     s = complex(s)
     if s == 0.0:
         return complex(-0.5)  # reflection path would hit the zeta pole
@@ -91,7 +99,7 @@ def riemann_zeta(s, em_min=20, em_per_im=2.0, order=12, reflect_below=0.5):
         w, em_min, em_per_im, order, reflect_below)
 
 
-def hurwitz_zeta(s, a, em_min=20, em_per_im=2.0, order=12):
+def hurwitz_zeta(s, a, em_min=16, em_per_im=0.5, order=32):
     s = complex(s)
     n = max(em_min, math.ceil(em_per_im * abs(s.imag)))
     return zeta_em(s, a, n, order)
@@ -103,7 +111,7 @@ TAG_ZETA_ZETA_GAMMA = 1
 TAG_ZETA_GAMMA_POWER = 2
 
 
-def integrand(tag, s, p, z, em_min=20, em_per_im=2.0, order=12, reflect_below=0.5):
+def integrand(tag, s, p, z, em_min=16, em_per_im=0.5, order=32, reflect_below=0.5):
     """Meromorphic line integrands.
 
     tag 0: Gamma(z) Gamma(s-z) u^{-z}            (p = u)

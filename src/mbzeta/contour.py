@@ -579,10 +579,11 @@ def _line_extra_const(f, x0):
     i, j, alpha, beta = f.shape
     sigma = f.s.real
     extra = f.base ** (alpha * x0 + beta * sigma)
+    zeta = _bound_zeta(DEFAULT_CONFIG)
     if i:
-        extra *= abs(kernels.riemann_zeta(complex(x0)))
+        extra *= abs(zeta(complex(x0)))
     if j:
-        extra *= abs(kernels.riemann_zeta(complex(sigma - x0)))
+        extra *= abs(zeta(complex(sigma - x0)))
     return extra
 
 

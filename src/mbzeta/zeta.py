@@ -27,34 +27,52 @@ _IM_MAX_DIRECT = 1.0e5
 _IM_MAX_REFLECT = 400.0
 
 
+# the whole Euler-Maclaurin table: the largest correction_order, and the one
+# at which the adaptive term count is N = max(16, ceil(|Im s| / 2))
+_FULL_ORDER = 2 * len(EM_COEFFS)
+
+
 @dataclass(frozen=True)
 class ZetaEvalConfig:
     """Evaluation knobs of riemann_zeta; all other paths use DEFAULT_CONFIG.
 
-    em_terms: directly summed Dirichlet terms; None means the adaptive
-        default max(20, ceil(2|Im s|)).
-    correction_order: number of Euler-Maclaurin Bernoulli corrections, even.
+    em_terms: directly summed Dirichlet terms N; None means the adaptive
+        N = ceil(f * max(|Im s|, correction_order)) with
+        f = 2^(53/correction_order - 53/32) / 2, so N = max(16, ceil(|Im s|/2))
+        at the default cap. The correction of order 2k is about
+        (|s + 2k| / (2 pi N))^(2k) of the leading term; f keeps that ratio at
+        the cap near 2^-53 for every cap, so a lower cap sums more terms
+        (order 12: N = max(41, ceil(3.39 |Im s|))).
+    correction_order: cap on the Euler-Maclaurin Bernoulli corrections, even,
+        at most 32 (the whole table). The corrections stop earlier, after the
+        first one below 2^-53 of the running sum.
     reflect_below: switch to the functional equation for Re(s) below this.
     """
     em_terms: int | None = None
-    correction_order: int = 12
+    correction_order: int = _FULL_ORDER
     reflect_below: float = 0.5
 
     def __post_init__(self):
         if self.em_terms is not None and self.em_terms < 1:
             raise DomainViolation("em_terms must be >= 1")
         if self.correction_order % 2 or not (
-                0 < self.correction_order <= 2 * len(EM_COEFFS)):
+                0 < self.correction_order <= _FULL_ORDER):
             raise DomainViolation(
-                f"correction_order must be even and <= {2 * len(EM_COEFFS)}")
+                f"correction_order must be even and <= {_FULL_ORDER}")
+        if self.em_terms is None and self.correction_order < 4:
+            # one correction reaches rounding only at N ~ 1.5e7 * |s + 2|
+            raise DomainViolation("the adaptive em_terms needs correction_order"
+                                  " >= 4; set em_terms for order 2")
         if self.reflect_below > 0.5:
             raise DomainViolation("reflect_below must not exceed 1/2")
 
     def _term_args(self):
         # kernel encodes "max(em_min, ceil(em_per_im * |Im s|))"
-        if self.em_terms is None:
-            return 20, 2.0
-        return self.em_terms, 0.0
+        if self.em_terms is not None:
+            return self.em_terms, 0.0
+        order = self.correction_order
+        per_im = 0.5 * 2.0 ** (53.0 / order - 53.0 / _FULL_ORDER)
+        return math.ceil(per_im * order), per_im
 
 
 DEFAULT_CONFIG = ZetaEvalConfig()
@@ -68,6 +86,16 @@ def riemann_zeta(s, cfg=DEFAULT_CONFIG):
     t = abs(s.imag)
     if t > _IM_MAX_DIRECT or (s.real < cfg.reflect_below and t > _IM_MAX_REFLECT):
         raise OverflowRegime(f"|Im s| = {t} outside the validity window")
+    if cfg.em_terms is not None:
+        # the corrections at the sum's argument w shrink only while
+        # |w + 2k| < 2 pi N, for every 2k up to the cap
+        w = s if s.real >= cfg.reflect_below else 1.0 - s
+        reach = abs(w + cfg.correction_order) / (2.0 * math.pi)
+        if reach >= cfg.em_terms:
+            raise DomainViolation(
+                f"em_terms={cfg.em_terms} cannot converge at s={s}: the Euler-"
+                f"Maclaurin corrections shrink only from em_terms={math.floor(reach) + 1}"
+                " on (em_terms=None picks a count for full accuracy)")
     return overflow_checked(_bound_zeta(cfg), s)
 
 

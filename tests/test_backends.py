@@ -22,9 +22,11 @@ SRC_ROOT = Path(mbzeta.__file__).resolve().parents[1]
 # a sloppy edit to _core.c fails the suite instead of shipping
 STRICT_FLAGS = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-Wno-unused-parameter"]
 # (em_min, em_per_im, order, reflect_below) as the package passes them: the
-# adaptive default and a fixed em_terms; plus the off-default (24, 1.2)
+# adaptive default, whose corrections stop early, a fixed em_terms, and a low
+# cap of 8 that the corrections reach; plus the off-default (24, 1.2)
 TERM_ARGS = [cfg._term_args() + (cfg.correction_order, cfg.reflect_below)
-             for cfg in (DEFAULT_CONFIG, ZetaEvalConfig(em_terms=30))]
+             for cfg in (DEFAULT_CONFIG, ZetaEvalConfig(em_terms=30),
+                         ZetaEvalConfig(correction_order=8))]
 TERM_ARGS.append((24, 1.2, 12, 0.5))
 
 

@@ -23,7 +23,7 @@ def test_even_closed_forms():
 
 
 def test_matches_truncated_sum_oracle():
-    for s in (2.0, 2.5, 3.0, 4.0, 7.5):
+    for s in (1.5, 2.0, 2.5, 3.0, 4.0, 6.5, 7.5):
         value, halfwidth = oracles.zeta_bracket(s, n=200_000)
         assert abs(riemann_zeta(s) - value) <= halfwidth + 1e-12
 
@@ -92,7 +92,71 @@ def test_config_validation():
         ZetaEvalConfig(reflect_below=0.8)  # reflection must engage left of 1/2
     with pytest.raises(DomainViolation):
         ZetaEvalConfig(em_terms=0)
-    assert DEFAULT_CONFIG.correction_order == 12
+    with pytest.raises(DomainViolation):
+        ZetaEvalConfig(correction_order=2)  # adaptive count would be ~3e7 terms
+    ZetaEvalConfig(em_terms=50, correction_order=2)
+    # the full table as the cap, and N = max(16, ceil(|Im s| / 2))
+    assert DEFAULT_CONFIG.correction_order == 32
+    assert DEFAULT_CONFIG._term_args() == (16, 0.5)
+
+
+def test_a_lower_cap_sums_more_terms():
+    # N = ceil(f * max(|Im s|, order)), f = 2^(53/order - 53/32) / 2: order 12
+    # sums more terms than the old fixed rule max(20, ceil(2|Im s|)) at every
+    # height
+    em_min, em_per_im = ZetaEvalConfig(correction_order=12)._term_args()
+    assert em_min == 41 and 3.38 < em_per_im < 3.39
+
+
+def test_fixed_em_terms_that_cannot_converge_is_refused():
+    # 30 terms at |Im s| = 390 once returned 125.69+104.73i for 5.0023-0.7840i
+    with pytest.raises(DomainViolation, match="from em_terms=63 on"):
+        riemann_zeta(complex(0.6, 390.0), ZetaEvalConfig(em_terms=30))
+    # on the reflection path the sum runs at 1 - s
+    with pytest.raises(DomainViolation, match="from em_terms=17 on"):
+        riemann_zeta(complex(-1.0, 100.0), ZetaEvalConfig(em_terms=10))
+    riemann_zeta(complex(0.6, 390.0), ZetaEvalConfig(em_terms=63))
+
+
+def test_fixed_em_terms_in_use_are_accepted():
+    # the configs the contour tests, test_em_term_count_consistency and the
+    # plane benchmark's reference pass
+    riemann_zeta(complex(0.5, 14.0),
+                 ZetaEvalConfig(em_terms=30, correction_order=16, reflect_below=0.25))
+    riemann_zeta(complex(0.6, 35.0), ZetaEvalConfig(em_terms=80))
+    for s in (complex(-3.0, 390.0), complex(5.0, -390.0), complex(0.49, 0.0)):
+        riemann_zeta(s, _heavy(s))
+
+
+def _heavy(s):
+    # the plane benchmark's reference truncation: about four times the terms
+    # DEFAULT_CONFIG sums, and 10 corrections every time
+    return ZetaEvalConfig(em_terms=math.ceil(2.0 * abs(s.imag)) + 40,
+                          correction_order=20)
+
+
+_HEIGHTS = (0.0, 0.5, 3.0, 10.0, 25.0, 60.0, 130.0, 250.0, 390.0)
+
+
+def test_default_matches_a_heavy_truncation_up_to_height_390():
+    # sigma in [-3, 5] runs the reflection path left of 1/2 and the direct
+    # sum right of it
+    for i in range(17):
+        for t in _HEIGHTS:
+            for s in (complex(-3.0 + 0.5 * i, t), complex(-3.0 + 0.5 * i, -t)):
+                if abs(s - 1.0) < 0.1:
+                    continue
+                want = riemann_zeta(s, _heavy(s))
+                assert abs(riemann_zeta(s) - want) <= 1e-12 * abs(want), s
+
+
+def test_hurwitz_matches_a_heavy_truncation_up_to_height_390():
+    for sigma in (1.25, 2.0, 3.5, 5.0):
+        for t in _HEIGHTS:
+            s = complex(sigma, t)
+            for a in (1.0, 1.5, 3.25, 10.0):
+                want = kernels.zeta_em(s, a, math.ceil(2.0 * t) + 40, 20)
+                assert abs(hurwitz_zeta(s, a) - want) <= 1e-12 * abs(want), (s, a)
 
 
 def test_hurwitz_reduces_to_riemann():
