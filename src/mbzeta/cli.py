@@ -17,7 +17,8 @@ from .contour import (FAMILY_PARAMS, IntegrandFamily, RectangleSpec,
                       VerticalLineSpec, integrate_real_improper,
                       integrate_vertical)
 from .errors import ConfigError, MBZetaError, UsageError
-from .residues import asymptotic_tail_terms, classify_pole, residue_at
+from .residues import (_require_finite_residues, asymptotic_tail_terms,
+                       classify_pole, residue_at)
 from .specfun import beta, bernoulli, gamma, log_gamma
 from .verify import check_rectangle, default_config, run_suite
 from .zeta import hurwitz_zeta, riemann_zeta
@@ -188,8 +189,7 @@ def parse_args(argv):
             if ns.c is None:
                 raise UsageError("integrate needs --c")
             try:
-                line = VerticalLineSpec(_finite(ns.c, "--c"),
-                                        max(params["tol"], 1e-12))
+                line = VerticalLineSpec(_finite(ns.c, "--c"), params["tol"])
                 line.validate_for(f)
             except MBZetaError as exc:
                 raise UsageError(str(exc)) from None
@@ -309,6 +309,7 @@ def _execute_rect(cmd):
 def _execute_residues(cmd):
     p = cmd.params
     f = p["family"]
+    _require_finite_residues(f, p["lo"], p["hi"])
     rows = []
     for n in f.poles(p["lo"], p["hi"]):
         loc = classify_pole(f, n)

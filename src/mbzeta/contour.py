@@ -536,15 +536,14 @@ def _point_segment_distance(p, z0, z1):
 
 
 def integrate_segment(f, z0, z1, tol=1e-10,
-                      max_evaluations=DEFAULT_MAX_EVALUATIONS,
-                      pole_guard=POLE_GUARD):
+                      max_evaluations=DEFAULT_MAX_EVALUATIONS):
     """Oriented straight-line integral of the integrand, normalized by 1/(2*pi*i)."""
     z0 = complex(z0)
     z1 = complex(z1)
     require_finite(z0=z0, z1=z1)
     require_tol(tol)
-    if _segment_pole_distance(f, z0, z1) <= pole_guard:
-        raise PoleOnPath(f"segment [{z0}, {z1}] passes within {pole_guard} of a pole")
+    if _segment_pole_distance(f, z0, z1) <= POLE_GUARD:
+        raise PoleOnPath(f"segment [{z0}, {z1}] passes within {POLE_GUARD} of a pole")
     value, err, n = _walk(_bound_integrand(f), ((z0, z1, 1.0),), tol,
                           max_evaluations)
     return QuadratureResult(value, err, 0.0, n)
@@ -761,17 +760,16 @@ def integrate_vertical(f, line, max_evaluations=DEFAULT_MAX_EVALUATIONS):
 
 
 def integrate_rectangle(f, rect, tol=1e-9,
-                        max_evaluations=DEFAULT_MAX_EVALUATIONS,
-                        pole_guard=POLE_GUARD):
+                        max_evaluations=DEFAULT_MAX_EVALUATIONS):
     """Counterclockwise boundary integral, normalized by 1/(2*pi*i); equals the
     sum of residues strictly inside by the residue theorem."""
     require_tol(tol)
     c1, c2, c3, c4 = rect.corners()
     edges = ((c1, c2), (c2, c3), (c3, c4), (c4, c1))
     for a, b in edges:
-        if _segment_pole_distance(f, a, b) <= pole_guard:
+        if _segment_pole_distance(f, a, b) <= POLE_GUARD:
             raise PoleOnPath(
-                f"rectangle edge [{a}, {b}] passes within {pole_guard} of a pole")
+                f"rectangle edge [{a}, {b}] passes within {POLE_GUARD} of a pole")
     mirrored = f.s.imag == 0.0
     if mirrored:
         # f(conj z) = conj f(z): the lower half of the boundary adds minus

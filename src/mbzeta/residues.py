@@ -81,7 +81,8 @@ def enumerate_poles(f, rect):
     """Left-field poles strictly inside the rectangle, ascending by position.
 
     A rectangle that reaches a right-field pole raises DomainViolation, as
-    its residue sum would miss that pole.
+    its residue sum would miss that pole, and one that encloses a pole whose
+    residue overflows binary64 raises OverflowRegime.
     """
     right, left = rect.c, rect.left
     # the right-field poles around the right edge hold the rightmost one
@@ -98,8 +99,20 @@ def enumerate_poles(f, rect):
             raise PoleOnBoundary(f"pole at {n} lies on the rectangle edge {edge}")
     if rect.T <= POLE_GUARD:
         raise PoleOnBoundary("rectangle height too small to clear real-axis poles")
-    return [classify_pole(f, n)
-            for n in f.poles(left + POLE_GUARD, right - POLE_GUARD)]
+    lo, hi = left + POLE_GUARD, right - POLE_GUARD
+    _require_finite_residues(f, lo, hi)
+    return [classify_pole(f, n) for n in f.poles(lo, hi)]
+
+
+def _require_finite_residues(f, lo, hi):
+    """Raise OverflowRegime if a left pole in [lo, hi] has a residue beyond
+    binary64, looking at the lowest one only: the residue at n is a multiple
+    of Gamma(s - n), which overflows for Re(s - n) > 170. Callers run it
+    before listing the poles, which a wide range would make billions of."""
+    lowest = f.poles(lo, min(lo + 2.0, hi))
+    if lowest and f.s.real - lowest[0] > 170.0:
+        raise OverflowRegime(
+            f"the residue at the pole {lowest[0]} overflows binary64")
 
 
 def residue_at(f, p):

@@ -22,6 +22,7 @@ __all__ = [
 # complex distance below which Gamma arguments are rejected; keeps condition
 # numbers of every downstream identity below ~1e8 at binary64
 POLE_GUARD = 1e-6
+SECTOR_DELTA = 0.01  # the Stirling sector is |arg z| < pi - SECTOR_DELTA
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -50,23 +51,24 @@ def gamma(z):
     return overflow_checked(kernels.gamma, _guard(z))
 
 
-def stirling_main_term(z, sector_delta=0.01):
+def stirling_main_term(z):
     """(z - 1/2) log z - z + log sqrt(2 pi), the leading Stirling term.
 
-    Rejects arguments within sector_delta of the negative real axis, where
-    the asymptotic sector ends.
+    Rejects arguments with |arg z| >= pi - SECTOR_DELTA, next to the negative
+    real axis, where the asymptotic sector ends.
     """
     z = complex(z)
     require_finite(z=z)
-    if z == 0.0 or abs(cmath.phase(z)) >= math.pi - sector_delta:
+    if z == 0.0 or abs(cmath.phase(z)) >= math.pi - SECTOR_DELTA:
         raise SectorViolation(
-            f"arg({z}) outside the Stirling sector |arg z| < pi - {sector_delta}")
+            f"arg({z}) outside the Stirling sector |arg z| < pi - {SECTOR_DELTA}")
     return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_TWO_PI
 
 
-def stirling_defect(z, sector_delta=0.01):
-    """log_gamma minus the main term; O(1/|z|) on the Stirling sector."""
-    return log_gamma(z) - stirling_main_term(z, sector_delta)
+def stirling_defect(z):
+    """log_gamma minus the main term; O(1/|z|) on the Stirling sector
+    |arg z| < pi - SECTOR_DELTA."""
+    return log_gamma(z) - stirling_main_term(z)
 
 
 def gamma_pole_residue(n):

@@ -9,6 +9,9 @@ encoded as counting rows -- lhs = number of violations against rhs = 0 with
 the indicator tolerance (0.5 by default) -- so the pass rule above remains
 the single source of truth.
 Each case kind is one row of _KINDS, and _READERS says how each key is read.
+A suite config has two keys, tolerances and cases: the quadrature runs at
+the contour module's pole guard and evaluation budget, and envelope cases
+fit on the ranges of _ENVELOPES.
 """
 import cmath
 import math
@@ -17,15 +20,14 @@ from dataclasses import dataclass
 from ._backend import BACKEND, kernels
 from ._kernel_constants import EM_COEFFS
 from ._version import __version__
-from .contour import (DEFAULT_MAX_EVALUATIONS, FAMILY_PARAMS,
-                      IntegrandFamily, RectangleSpec, VerticalLineSpec,
-                      _integrate_vertical_unchecked, gamma_power,
-                      integrate_real_improper, integrate_rectangle,
-                      integrate_segment, integrate_vertical, zeta_gamma_power,
-                      zeta_zeta_gamma)
-from .errors import (ConfigError, DomainViolation, MBZetaError,
-                     OverflowRegime, UnknownCaseKind)
-from .residues import asymptotic_tail_terms, enumerate_poles, residue_at
+from .contour import (FAMILY_PARAMS, IntegrandFamily, RectangleSpec,
+                      VerticalLineSpec, _integrate_vertical_unchecked,
+                      gamma_power, integrate_real_improper,
+                      integrate_rectangle, integrate_segment,
+                      integrate_vertical, zeta_gamma_power, zeta_zeta_gamma)
+from .errors import ConfigError, DomainViolation, MBZetaError, UnknownCaseKind
+from .residues import (_require_finite_residues, asymptotic_tail_terms,
+                       enumerate_poles, residue_at)
 from .specfun import POLE_GUARD
 from .zeta import double_sum_oracle, hurwitz_zeta, riemann_zeta
 
@@ -111,18 +113,18 @@ def _zeta_pair_closed_form(s):
     return g * (riemann_zeta(s - 1.0) - riemann_zeta(s))
 
 
-# The two sides of each identity kind, sides(p, qt, max_evaluations, method)
-# -> (lhs, rhs), from the read params p and the quadrature target qt.
+# The two sides of each identity kind, sides(p, qt, method) -> (lhs, rhs),
+# from the read params p and the quadrature target qt.
 
-def _mb_power(p, qt, max_evaluations, method):
+def _mb_power(p, qt, method):
     # line integral vs Gamma(s)(1+u)^{-s}
     s, u = p["s"], p["u"]
     line = VerticalLineSpec(p["c"], qt)
-    return (integrate_vertical(gamma_power(s, u), line, max_evaluations).value,
+    return (integrate_vertical(gamma_power(s, u), line).value,
             _power_closed_form(s, u))
 
 
-def _binomial_series(p, qt, max_evaluations, method):
+def _binomial_series(p, qt, method):
     # partial sum vs Gamma(s)(1+u)^{-s}
     s, u = p["s"], p["u"]
     term = total = cmath.exp(kernels.loggamma(s))
@@ -132,46 +134,44 @@ def _binomial_series(p, qt, max_evaluations, method):
     return total, _power_closed_form(s, u)
 
 
-def _two_term(p, qt, max_evaluations, method):
+def _two_term(p, qt, method):
     # rescaled line integral vs Gamma(s)/(a+b)^s
     s, a, b = p["s"], p["a"], p["b"]
     if a <= 0.0 or b <= 0.0:
         raise DomainViolation("two_term needs a > 0 and b > 0")
     lo, hi = min(a, b), max(a, b)
     line = VerticalLineSpec(p["c"], qt)
-    lhs = (hi ** (-s)) * integrate_vertical(gamma_power(s, lo / hi), line,
-                                            max_evaluations).value
+    lhs = (hi ** (-s)) * integrate_vertical(gamma_power(s, lo / hi),
+                                            line).value
     return lhs, cmath.exp(kernels.loggamma(s)) * (a + b) ** (-s)
 
 
-def _double_sum(p, qt, max_evaluations, method):
+def _double_sum(p, qt, method):
     # line integral vs the closed form, or the truncated double-sum oracle
     s = p["s"]
     line = VerticalLineSpec(p.get("c", 1.5), qt)
-    lhs = integrate_vertical(zeta_zeta_gamma(s), line, max_evaluations).value
+    lhs = integrate_vertical(zeta_zeta_gamma(s), line).value
     if method == "oracle":
         return lhs, cmath.exp(kernels.loggamma(s)) * double_sum_oracle(
             s, min(qt, 1e-12))
     return lhs, _zeta_pair_closed_form(s)
 
 
-def _hurwitz_kernel(p, qt, max_evaluations, method):
+def _hurwitz_kernel(p, qt, method):
     # line integral vs Gamma(s) zeta(s, a)
     s, a = p["s"], p["a"]
     line = VerticalLineSpec(p.get("c", 1.5), qt)
-    return (integrate_vertical(zeta_gamma_power(s, a), line,
-                               max_evaluations).value,
+    return (integrate_vertical(zeta_gamma_power(s, a), line).value,
             cmath.exp(kernels.loggamma(s)) * hurwitz_zeta(s, a))
 
 
-def _app_integral(p, qt, max_evaluations, method):
+def _app_integral(p, qt, method):
     # real-axis integral vs closed form
     s = p["s"]
-    return (integrate_real_improper(s, qt, max_evaluations).value,
-            _zeta_pair_closed_form(s))
+    return integrate_real_improper(s, qt).value, _zeta_pair_closed_form(s)
 
 
-def _coth_expansion(p, qt, max_evaluations, method):
+def _coth_expansion(p, qt, method):
     # partial sum of (x/2)coth(x/2) = sum B_{2n} x^{2n} / (2n)! vs its value
     x, n_terms = p["x"], p["n_terms"]
     if not 1 <= n_terms <= len(EM_COEFFS) + 1:
@@ -188,30 +188,21 @@ def _coth_expansion(p, qt, max_evaluations, method):
     return total, (x / 2.0) / math.tanh(x / 2.0)
 
 
-def check_identity(case, max_evaluations=DEFAULT_MAX_EVALUATIONS):
+def check_identity(case):
     """Evaluate both sides of the identity named by case.kind and compare."""
     sides = _KINDS[case.kind][2].sides
-    lhs, rhs = sides(case.params, _quad_tol(case.tolerance), max_evaluations,
-                     case.method)
+    lhs, rhs = sides(case.params, _quad_tol(case.tolerance), case.method)
     return _entry(case.id, lhs, rhs, case.tolerance)
 
 
-def check_rectangle(f, rect, tol=1e-6,
-                    max_evaluations=DEFAULT_MAX_EVALUATIONS,
-                    pole_guard=POLE_GUARD, entry_id=None):
-    """Compare the rectangle boundary integral against the enclosed residue sum."""
+def check_rectangle(f, rect, tol=1e-6, entry_id=None):
+    """Compare the rectangle boundary integral against the enclosed residue
+    sum; a residue that overflows binary64 raises before the integral runs."""
     if entry_id is None:
         entry_id = (f"rectangle[{f.tag},right={rect.c:g},left={rect.left:g},"
                     f"T={rect.T:g}]")
-    # the residue at the left pole n is a multiple of Gamma(s - n), which
-    # overflows for Re(s - n) > 170: fail before enumerating billions of poles
-    lo = rect.left + POLE_GUARD
-    lowest = f.poles(lo, min(lo + 2.0, rect.c - POLE_GUARD))
-    if lowest and f.s.real - lowest[0] > 170.0:
-        raise OverflowRegime(
-            f"the residue at the enclosed pole {lowest[0]} overflows binary64")
-    lhs = integrate_rectangle(f, rect, _quad_tol(tol), max_evaluations,
-                              pole_guard).value
+    _require_finite_residues(f, rect.left + POLE_GUARD, rect.c - POLE_GUARD)
+    lhs = integrate_rectangle(f, rect, _quad_tol(tol)).value
     rhs = sum((residue_at(f, p).value for p in enumerate_poles(f, rect)),
               start=0j)
     return _entry(entry_id, lhs, rhs, tol)
@@ -250,8 +241,7 @@ class DecayStudy:
         return [final, monotone]
 
 
-def decay_study(kind, f, c, values, left=None, threshold=1e-6,
-                max_evaluations=DEFAULT_MAX_EVALUATIONS):
+def decay_study(kind, f, c, values, left=None, threshold=1e-6):
     """Magnitude table for the two decay mechanisms behind contour shifting.
 
     vertical_shift: |full line integral| at abscissas c - k for k in values
@@ -278,14 +268,13 @@ def decay_study(kind, f, c, values, left=None, threshold=1e-6,
         for k in values:
             if k <= 0.0:
                 raise DomainViolation("shifts must be positive")
-            r = _integrate_vertical_unchecked(f, c - k, qt, max_evaluations)
+            r = _integrate_vertical_unchecked(f, c - k, qt)
             mags.append(abs(r.value))
     else:
         if left is None or not left < c:
             raise DomainViolation("horizontal study needs left < c")
         for T in values:
-            r = integrate_segment(f, complex(c, T), complex(left, T), qt,
-                                  max_evaluations)
+            r = integrate_segment(f, complex(c, T), complex(left, T), qt)
             mags.append(abs(r.value))
     mags = tuple(mags)
     decreasing = all(b < a for a, b in zip(mags, mags[1:]))
@@ -293,8 +282,8 @@ def decay_study(kind, f, c, values, left=None, threshold=1e-6,
                       decreasing, mags[-1] <= threshold)
 
 
-# bound: (sigma range, |f| / envelope at sigma + it, default fit and test
-# ranges of |t|)
+# bound: (sigma range, |f| / envelope at sigma + it, the fit and test ranges
+# of |t| its suite case uses)
 _ENVELOPES = {
     "gamma_exp": ((0.5, 3.0), lambda sig, t: (
         math.exp(kernels.loggamma(complex(sig, t)).real) / math.exp(-abs(t))),
@@ -332,16 +321,18 @@ class EnvelopeFit:
         return _entry(entry_id, complex(self.violations), 0j, tolerance)
 
 
-def _grid(lo, hi, n):
-    if n < 2:
-        raise DomainViolation("grid needs at least 2 points per axis")
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+# points per axis of an envelope fit's sigma-by-|t| grids
+_GRID_POINTS = 20
 
 
-def fit_envelope(bound_kind, fit_range, test_range, grid=(20, 20)):
+def _grid(lo, hi):
+    step = (hi - lo) / (_GRID_POINTS - 1)
+    return [lo + i * step for i in range(_GRID_POINTS)]
+
+
+def fit_envelope(bound_kind, fit_range, test_range):
     """Fit C = max |f| / envelope over the fit |t| range, then count test-range
-    grid points exceeding it.
+    grid points exceeding it; each grid is 20 by 20, sigma by |t|.
 
     Zero violations means the envelope shape explains the growth of |f| on the
     held-out range with the fitted constant; any violation is reported, never
@@ -357,22 +348,22 @@ def fit_envelope(bound_kind, fit_range, test_range, grid=(20, 20)):
     if test_range[0] < fit_range[1]:
         raise DomainViolation("test range must sit above the fit range")
     (sig_lo, sig_hi), ratio, _, _ = _ENVELOPES[bound_kind]
-    n_sig, n_t = int(grid[0]), int(grid[1])
-    sigmas = _grid(sig_lo, sig_hi, n_sig)
+    sigmas = _grid(sig_lo, sig_hi)
     constant = 0.0
-    for t in _grid(fit_range[0], fit_range[1], n_t):
+    for t in _grid(*fit_range):
         for sig in sigmas:
             constant = max(constant, ratio(sig, t))
     worst = 0.0
     violations = 0
-    for t in _grid(test_range[0], test_range[1], n_t):
+    for t in _grid(*test_range):
         for sig in sigmas:
             r = ratio(sig, t)
             worst = max(worst, r)
             if r > constant:
                 violations += 1
     return EnvelopeFit(bound_kind, (sig_lo, sig_hi), fit_range, test_range,
-                       (n_sig, n_t), constant, worst, violations)
+                       (_GRID_POINTS, _GRID_POINTS), constant, worst,
+                       violations)
 
 
 @dataclass(frozen=True)
@@ -402,9 +393,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-_QUADRATURE = {"pole_guard": POLE_GUARD,
-               "max_evaluations": DEFAULT_MAX_EVALUATIONS}
-
 DEFAULT_TOLERANCES = {
     "gamma_only": 1e-8,
     "zeta_bearing": 1e-6,
@@ -429,7 +417,7 @@ class _Identity:
                   if k not in ("id", "kind", "tolerance", "method")}
         ic = IdentityCase(name, case["kind"], params, tol,
                           case.get("method", "closed_form"))
-        return [check_identity(ic, cfg["max_evaluations"])]
+        return [check_identity(ic)]
 
 
 def _family(case):
@@ -441,20 +429,18 @@ def _family(case):
 def _run_rectangle(case, name, tol, cfg):
     right = case["right"]
     rect = RectangleSpec(right, right - case["left"], case["T"])
-    return [check_rectangle(_family(case), rect, tol, cfg["max_evaluations"],
-                            cfg["pole_guard"], entry_id=case.get("id"))]
+    return [check_rectangle(_family(case), rect, tol, entry_id=case.get("id"))]
 
 
 def _run_decay(case, name, tol, cfg):
     study = decay_study(case["study"], _family(case), case["c"],
-                        case["values"], left=case.get("left"), threshold=tol,
-                        max_evaluations=cfg["max_evaluations"])
+                        case["values"], left=case.get("left"), threshold=tol)
     return study.entries(case.get("id"), cfg["tolerances"]["indicator"])
 
 
 def _run_envelope(case, name, tol, cfg):
-    ranges = cfg["envelope_ranges"][case["bound"]]
-    fit = fit_envelope(case["bound"], ranges["fit"], ranges["test"])
+    _, _, fit_range, test_range = _ENVELOPES[case["bound"]]
+    fit = fit_envelope(case["bound"], fit_range, test_range)
     return [fit.entry(case.get("id"), tol)]
 
 
@@ -541,12 +527,6 @@ _READERS = {
     "values": (_reals, "a list of finite numbers"),
     "family": _one_of(FAMILY_PARAMS), "study": _one_of(_STUDY_PARAMS),
     "bound": _one_of(_ENVELOPES),
-    # quadrature and envelope_ranges keys
-    "pole_guard": _POSITIVE,
-    "max_evaluations": (lambda v: _ok(_integer(v), v > 0), "a positive integer"),
-    **dict.fromkeys(("fit", "test"),
-                    (lambda v: _reals(_ok(v, len(v) == 2)),
-                     "a pair [lo, hi] of finite numbers")),
 }
 
 
@@ -632,17 +612,11 @@ def default_config():
         {"kind": "envelope", "bound": "zeta_strip"},
         {"id": "tail_study[s=4,M=20]", "kind": "tail_study", "s": 4, "M": 20},
     ]
-    return {
-        "tolerances": dict(DEFAULT_TOLERANCES),
-        "cases": cases,
-        "envelope_ranges": {k: {"fit": list(fit), "test": list(test)}
-                            for k, (_, _, fit, test) in _ENVELOPES.items()},
-        "quadrature": dict(_QUADRATURE),
-    }
+    return {"tolerances": dict(DEFAULT_TOLERANCES), "cases": cases}
 
 
-def _section(given, where, defaults, reader=None):
-    """defaults updated from the object given, read by reader or _READERS."""
+def _section(given, where, defaults, reader):
+    """defaults updated from the object given, each value read by reader."""
     if not isinstance(given, dict):
         raise ConfigError(f"{where} must be an object")
     unknown = sorted(set(given) - set(defaults))
@@ -653,20 +627,13 @@ def _section(given, where, defaults, reader=None):
 
 
 def _read_config(config):
-    """The whole config read over its defaults, quadrature keys flattened."""
+    """The whole config read over its defaults."""
     top = _section(config, "config", default_config(), _ANY)
-    ranges = _section(top["envelope_ranges"], "envelope_ranges",
-                      dict.fromkeys(_ENVELOPES, {}), _ANY)
     if not isinstance(top["cases"], list):
         raise ConfigError("cases must be a list of objects")
     return {
         "tolerances": _section(top["tolerances"], "tolerances",
                                DEFAULT_TOLERANCES, _POSITIVE),
-        "envelope_ranges": {
-            k: _section(ranges[k], f"envelope_ranges[{k!r}]",
-                        {"fit": fit, "test": test})
-            for k, (_, _, fit, test) in _ENVELOPES.items()},
-        **_section(top["quadrature"], "quadrature", _QUADRATURE),
         "cases": [_read(c, f"cases[{i}]") for i, c in enumerate(top["cases"])],
     }
 

@@ -283,6 +283,8 @@ HUGE_CALLS = (
     "contour.RectangleSpec(1.5, 1e9 + 1.5, 1.0))",
     "verify.check_rectangle(contour.gamma_power(3, 0.5), "
     "contour.RectangleSpec(1.5, 1e9, 1.0))",
+    "residues.enumerate_poles(contour.gamma_power(3, 0.5), "
+    "contour.RectangleSpec(1.5, 1e9, 1.0))",
 )
 # Real-s and complex-s lines, one per family each, and one whose tol is
 # below its rounding floor, in the same probe: {call: (tol, outcome)}. Both

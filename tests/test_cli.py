@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,13 @@ def test_integrate_improper_family(capsys):
     assert "value = 0.8857543274" in capsys.readouterr().out
 
 
+def test_integrate_passes_tol_through(capsys):
+    # 1e-16 is below the line's rounding floor: the CLI must not loosen it
+    assert main(["integrate", "--family", "zetazeta", "--s", "4", "--c", "1.5",
+                 "--tol", "1e-16"]) == 1
+    assert capsys.readouterr().err.startswith("ToleranceUnreachable: ")
+
+
 def test_rect_match_line(capsys):
     # rectangle enclosing only the pole at 1: both sides equal 2 zeta(3)
     assert main(["rect", "--family", "zetazeta", "--s", "4,0", "--right", "1.5",
@@ -155,6 +163,22 @@ def test_residues_lists_all_kinds(capsys):
     assert "n=+0 kind=GammaPole residue=-3.2469697011" in lines
     assert "n=-1 kind=OddCombined residue=2.0738555103" in lines
     assert "n=-3 kind=OddCombined residue=-1.0083492774" in lines
+
+
+def test_residues_refuses_overflowing_residues_before_listing(tmp_path):
+    # every residue below n = -167 overflows binary64; the range's 3e8 poles
+    # are never listed, which a 1 GiB address space would not hold
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "mbzeta.cli", "residues", "--family",
+         "gammapower", "--s", "3", "--u", "0.5", "--min", "-300000000",
+         "--max", "0"],
+        capture_output=True, text=True, env=_module_env(), cwd=tmp_path,
+        timeout=120, preexec_fn=cap_memory)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("OverflowRegime: ")
 
 
 def test_residues_json(capsys):

@@ -52,6 +52,15 @@ def test_enumerate_inside_rectangle():
     assert all(p.kind == GAMMA_POLE for p in poles)
 
 
+def test_enumerate_refuses_overflowing_residues():
+    # the residue at n is a multiple of Gamma(3 - n): finite down to
+    # n = -167, beyond binary64 from n = -168 on
+    gp = gamma_power(3.0, 0.5)
+    assert enumerate_poles(gp, RectangleSpec(1.5, 169.0, 1.0))[0].position == -167
+    with pytest.raises(OverflowRegime):
+        enumerate_poles(gp, RectangleSpec(1.5, 200.0, 1.0))
+
+
 def test_enumerate_boundary_guard():
     zz = zeta_zeta_gamma(4.0)
     with pytest.raises(PoleOnBoundary):
