@@ -18,14 +18,13 @@ left poles (of Gamma(z) and zeta(z)^i) lie on the real axis, the right ones
 (of Gamma(s-z) and zeta(s-z)^j) at s + n; IntegrandFamily lists both fields,
 and every point, path and circle guard asks it.
 
-Segments, rectangle edges and the real axis use adaptive bisection on an
-embedded 15-point Kronrod / 7-point Gauss pair; panels are
-accepted when the local estimate is below tol * (panel length / total
-length), and panel contributions accumulate in compensated (Neumaier) sums
-in a fixed left-to-right order. For real s the integrand satisfies
-f(conj z) = conj f(z), so rectangles integrate only their upper half, at the
-same tolerance per unit length, and take the full integral as 2i Im of that
-half.
+Segments, rectangle edges and the real axis are one path each of a globally
+adaptive 15-point Kronrod / 7-point Gauss walker (QUADPACK's dqagp): its legs
+are first cut at the poles within BREAK_REACH and graded geometrically away
+from them, then the panel with the largest error is bisected until the errors
+of the whole path sum to tol; a tol below FLOOR_FACTOR rounding floors raises.
+For real s, f(conj z) = conj f(z): a rectangle walks its upper half, held to
+tol/2, and takes the full integral as 2i Im of it.
 
 Vertical lines run a nested trapezoid rule in a sinh-mapped variable u,
 which converges geometrically in the width of the strip around the line
@@ -41,6 +40,8 @@ the evaluation budget, and err_estimate adds KERNEL_ROUNDING floors for the
 kernels' own rounding.
 """
 import cmath
+import heapq
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -71,12 +72,14 @@ ZETA_GAMMA_POWER = "zeta_gamma_power"
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
+LOG_MAX = math.log(sys.float_info.max)
 DEFAULT_MAX_EVALUATIONS = 2_000_000
 # a real-s line raises ToleranceUnreachable when tol/2 is below this multiple
-# of its trapezoid's rounding floor. With the check off, on the 108 real-s
-# edge and floor probes of perfbench's lines workload (seeds 1-40), the two
-# wrong answers (off by 4.4 and 6.5 tol) had tol/2 below 0.45 floors; right
-# ones came from 1.9 floors up, with errors up to 0.39 tol below 8 floors.
+# of its trapezoid's rounding floor, a GK path when tol is below this multiple
+# of its own. With the check off, on the 108 real-s edge and floor probes of
+# perfbench's lines workload (seeds 1-40), the two wrong answers (off by 4.4
+# and 6.5 tol) had tol/2 below 0.45 floors; right ones came from 1.9 floors
+# up, with errors up to 0.39 tol below 8 floors.
 FLOOR_FACTOR = 8.0
 # a trapezoid line's err_estimate adds this many rounding floors for the
 # kernels' own rounding (~1e-14 relative), which the nested levels share and
@@ -101,6 +104,11 @@ SUBTRACT_REACH = 1.0
 SUBTRACT_MAX_RATIO = 16.0
 # least scale of a complex-s line's sinh map
 SINH_MIN_SCALE = 4.0
+# a GK leg is first cut at the nearest point of each pole within this reach,
+# and this far times 2^k from it along the leg. Cuts for poles within 2 got a
+# plane rectangle of seed 9 1.16 tol wrong; cuts for every pole took the
+# default battery's horizontal decay study from 45 evaluations to 315.
+BREAK_REACH = 4.0
 
 
 @dataclass(frozen=True)
@@ -332,118 +340,119 @@ def _bound_integrand(f):
     return integrand
 
 
-class _CompensatedSum:
-    """Neumaier accumulator; order-sensitive but error-free to ~1 ulp."""
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x):
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    def total(self):
-        return self.s + self.c
-
-
 def _gk15(f, a, b):
-    """15-point Kronrod value plus |K-G| error estimate on the segment [a, b]."""
+    """15-point Kronrod value, |K-G| error estimate and Kronrod sum of
+    |f| * |half| (the scale of its rounding) on the segment [a, b]."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vk = 0j
-    vg = 0j
+    vk = vg = 0j
+    mass = 0.0
     for i, x in enumerate(GK_NODES):
-        if x == 0.0:
-            v = f(mid)
-            vk += GK_WEIGHTS[i] * v
-            vg += GAUSS_WEIGHTS[3] * v
-        else:
-            v = f(mid - half * x) + f(mid + half * x)
-            vk += GK_WEIGHTS[i] * v
-            if i % 2 == 1:
-                vg += GAUSS_WEIGHTS[i // 2] * v
-    return vk * half, abs(vk - vg) * abs(half)
+        # the odd nodes, the centre x = 0 last, are the 7-point Gauss rule's
+        v1 = f(mid - half * x)
+        v2 = f(mid + half * x) if x else 0.0
+        vk += GK_WEIGHTS[i] * (v1 + v2)
+        mass += GK_WEIGHTS[i] * (abs(v1) + abs(v2))
+        if i % 2 == 1:
+            vg += GAUSS_WEIGHTS[i // 2] * (v1 + v2)
+    return vk * half, abs(vk - vg) * abs(half), mass * abs(half)
 
 
-def _adaptive_segment(f, z0, z1, tol_abs, max_evaluations):
-    """Raw oriented integral along [z0, z1]; returns (value, err, evals).
+def _first_cuts(z0, z1, poles):
+    """[z0, z1] cut at the nearest point of each pole within BREAK_REACH of
+    it, and at BREAK_REACH * 2^k from that point on either side."""
+    length = abs(z1 - z0)
+    cuts = set()
+    for p in poles:
+        q = _nearest_point(p, z0, z1)
+        if abs(p - q) <= BREAK_REACH:
+            x, step = abs(q - z0), BREAK_REACH
+            cuts.add(x)
+            while x - step > 0.0 or x + step < length:
+                cuts.update((x - step, x + step))
+                step *= 2.0
+    return ([z0] + [z0 + (z1 - z0) * (x / length) for x in sorted(cuts)
+                    if 0.0 < x < length] + [z1])
 
-    LIFO bisection stack pushed right-then-left gives deterministic
-    left-to-right panel acceptance order. A panel whose value or estimate
-    overflows binary64 raises OverflowRegime.
-    """
-    total_len = abs(z1 - z0)
-    if total_len == 0.0:
-        return 0j, 0.0, 0
-    re_sum, im_sum, err_sum = _CompensatedSum(), _CompensatedSum(), _CompensatedSum()
-    evals = 0
-    stack = [(z0, z1)]
-    while stack:
-        a, b = stack.pop()
-        seg = abs(b - a)
+
+def _adaptive(legs, tol, unit, max_evaluations):
+    """(value, err, evals) of the raw integral along the legs (fn, z0, z1,
+    poles), by QUADPACK's dqagp: from the panels of _first_cuts, bisect the
+    one with the largest |K-G| until the errors sum to tol (tol * unit raw);
+    fsum the panels at the end. ToleranceUnreachable, with the raw sum of the
+    current panels and every evaluation spent: a tol below FLOOR_FACTOR
+    rounding floors (eps times the panels' Kronrod sums of |f|), or a
+    bisection, not started, that would pass max_evaluations."""
+    heap, order, evals = [], itertools.count(), 0
+
+    def total(k):
+        return math.fsum(panel[k] for panel in heap)
+
+    def unreachable(why):
+        path = " -> ".join(map(str, [legs[0][1]] + [leg[2] for leg in legs]))
+        return ToleranceUnreachable(f"path {path}: {why}", evaluations=evals,
+                                    partial_value=complex(total(5), total(6)))
+
+    def add_panel(fn, a, b):
         try:
-            v, e = _gk15(f, a, b)
-            finite = e < math.inf and cmath.isfinite(v)
+            v, e, m = _gk15(fn, a, b)
         except OverflowError:
-            finite = False
-        if not finite:
-            raise OverflowRegime(
-                f"integrand overflows binary64 on the panel [{a}, {b}]")
-        evals += 15
-        if evals > max_evaluations:
-            raise ToleranceUnreachable(
-                f"evaluation budget {max_evaluations} exceeded on segment "
-                f"[{z0}, {z1}]", evaluations=evals,
-                partial_value=complex(re_sum.total(), im_sum.total()))
-        if e <= tol_abs * seg / total_len or seg <= 1e-13 * total_len:
-            re_sum.add(v.real)
-            im_sum.add(v.imag)
-            err_sum.add(e)
-        else:
-            m = 0.5 * (a + b)
-            stack.append((m, b))
-            stack.append((a, m))
-    return complex(re_sum.total(), im_sum.total()), err_sum.total(), evals
+            e = m = math.inf
+        if not (e < math.inf and m < math.inf):  # m bounds |v|; NaN fails too
+            raise OverflowRegime(f"integrand overflows binary64 on the panel [{a}, {b}]")
+        heapq.heappush(heap, (-e, next(order), fn, a, b, v.real, v.imag, m))
+        return e
+
+    first = [(fn, a, b) for fn, z0, z1, poles in legs if z0 != z1
+             for a, b in itertools.pairwise(_first_cuts(z0, z1, poles))]
+    if 15 * len(first) > max_evaluations:
+        raise unreachable(f"evaluation budget {max_evaluations} is below the "
+                          f"{15 * len(first)} evaluations of the first panels")
+    for panel in first:
+        add_panel(*panel)
+    evals = 15 * len(first)
+    err = synced = math.inf
+    while True:
+        # err drifts by rounding as it runs: resum it each time it halves
+        if err <= max(tol * unit, 0.5 * synced):
+            err = synced = abs(total(0))
+            floor = EPS * total(7) / unit
+            if tol < FLOOR_FACTOR * floor:
+                raise unreachable(f"tol {tol:.3g} is below {FLOOR_FACTOR:g} "
+                                  f"times the path's rounding floor {floor:.3g}")
+            if err <= tol * unit:
+                return complex(total(5), total(6)), err, evals
+        if evals + 30 > max_evaluations:
+            raise unreachable(f"did not reach tol {tol:.3g} within "
+                              f"{max_evaluations} evaluations")
+        neg_e, _, fn, a, b, *_ = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        err += add_panel(fn, a, mid) + add_panel(fn, mid, b) + neg_e
+        evals += 30
 
 
-def _walk(fn, legs, tol, max_evaluations, mirrored=False):
-    """(value, err, evals) of (1/(2*pi*i)) times the integral along the legs
-    (z0, z1, share), each leg held to share * tol and given what is left of
-    the budget.
+def _walk(f, legs, tol, max_evaluations, mirrored=False):
+    """(value, err, evals) of (1/(2*pi*i)) times the integral of family f
+    along the legs (z0, z1) by _adaptive, whose ToleranceUnreachable it puts
+    in value's units; a leg within POLE_GUARD of a pole raises PoleOnPath.
+    mirrored: the legs are the upper half of a real-s path, held to tol/2,
+    and its whole raw integral is 2i Im of theirs."""
+    fn = _bound_integrand(f)
+    walk = [(fn, z0, z1, _path_poles(f, z0, z1)) for z0, z1 in legs]
+    for _, z0, z1, poles in walk:
+        if min(abs(p - _nearest_point(p, z0, z1)) for p in poles) <= POLE_GUARD:
+            raise PoleOnPath(f"path leg [{z0}, {z1}] passes within {POLE_GUARD} of a pole")
 
-    mirrored: the legs are the upper half of a real-s path, whose lower half
-    adds minus the conjugate of the upper half's integral, so the whole raw
-    integral is 2i Im of it. A ToleranceUnreachable carries the finished legs
-    plus the partial one, in value's units, and all their evaluations.
-    """
     def normalized(raw):
-        if mirrored:
-            raw = complex(0.0, 2.0 * raw.imag)
-        return raw / (2j * math.pi)
+        return (complex(0.0, 2.0 * raw.imag) if mirrored else raw) / (2j * math.pi)
 
-    value = 0j
-    err = 0.0
-    evals = 0
-    for a, b, share in legs:
-        try:
-            raw, e, n = _adaptive_segment(fn, a, b, share * tol * TWO_PI,
-                                          max_evaluations - evals)
-        except ToleranceUnreachable as exc:
-            exc.partial_value = normalized(value + exc.partial_value)
-            exc.evaluations += evals
-            raise
-        value += raw
-        err += e
-        evals += n
-    if mirrored:
-        err *= 2.0
-    return normalized(value), err / TWO_PI, evals
+    unit = math.pi if mirrored else TWO_PI
+    try:
+        raw, err, evals = _adaptive(walk, tol, unit, max_evaluations)
+    except ToleranceUnreachable as exc:
+        exc.partial_value = normalized(exc.partial_value)
+        raise
+    return normalized(raw), err / unit, evals
 
 
 def _nested_trapezoid(term, n, nodes, scale, tol, max_evaluations, what,
@@ -504,35 +513,37 @@ def _nested_trapezoid(term, n, nodes, scale, tol, max_evaluations, what,
         js = range(1, n, 2)
 
 
-def _segment_pole_distance(f, z0, z1):
-    """Min distance from the family's poles to the segment [z0, z1].
+def _path_poles(f, z0, z1):
+    """The poles around the segment [z0, z1], the nearest of each field
+    among them: a field lies on one horizontal, at height 0 or Im s, along
+    which the distance to the segment is convex, so least at a member next
+    to an x where the segment comes closest. Ties go to where the fields
+    begin, at i and Re s - j next to the strip, and the integrand is largest."""
+    i, j = f.shape[:2]
+    left, right = f.poles_around(_closest_abscissa(z0, z1, 0.0, i),
+                                 _closest_abscissa(z0, z1, f.s.imag, f.s.real - j))
+    return left + right
 
-    Each field lies on one horizontal, at height 0 or Im s, and the distance
-    from x + ih to the segment is convex in x; so over a field it is least at
-    one of the members just below and just above an x where the segment
-    comes closest to the horizontal.
-    """
-    left, right = f.poles_around(_closest_abscissa(z0, z1, 0.0),
-                                 _closest_abscissa(z0, z1, f.s.imag))
-    return min(_point_segment_distance(p, z0, z1) for p in left + right)
 
-
-def _closest_abscissa(z0, z1, h):
-    """An x at which x + ih is nearest to the segment [z0, z1]."""
+def _closest_abscissa(z0, z1, h, end):
+    """An x at which x + ih is nearest to the segment [z0, z1]; of the ties
+    along a horizontal segment, the one nearest to end."""
     y0, y1 = z0.imag - h, z1.imag - h
-    if y0 != y1 and min(y0, y1) <= 0.0 <= max(y0, y1):
+    if y0 == y1:
+        return min(max(end, min(z0.real, z1.real)), max(z0.real, z1.real))
+    if min(y0, y1) <= 0.0 <= max(y0, y1):
         return z0.real + (z1.real - z0.real) * y0 / (y0 - y1)
-    return z0.real if abs(y0) <= abs(y1) else z1.real
+    return z0.real if abs(y0) < abs(y1) else z1.real
 
 
-def _point_segment_distance(p, z0, z1):
+def _nearest_point(p, z0, z1):
+    """The point of the segment [z0, z1] nearest to p."""
     d = z1 - z0
     L2 = d.real * d.real + d.imag * d.imag
     if L2 == 0.0:
-        return abs(p - z0)
+        return z0
     t = ((p - z0).real * d.real + (p - z0).imag * d.imag) / L2
-    t = max(0.0, min(1.0, t))
-    return abs(p - (z0 + t * d))
+    return z0 + max(0.0, min(1.0, t)) * d
 
 
 def integrate_segment(f, z0, z1, tol=1e-10,
@@ -542,10 +553,7 @@ def integrate_segment(f, z0, z1, tol=1e-10,
     z1 = complex(z1)
     require_finite(z0=z0, z1=z1)
     require_tol(tol)
-    if _segment_pole_distance(f, z0, z1) <= POLE_GUARD:
-        raise PoleOnPath(f"segment [{z0}, {z1}] passes within {POLE_GUARD} of a pole")
-    value, err, n = _walk(_bound_integrand(f), ((z0, z1, 1.0),), tol,
-                          max_evaluations)
+    value, err, n = _walk(f, ((z0, z1),), tol, max_evaluations)
     return QuadratureResult(value, err, 0.0, n)
 
 
@@ -765,22 +773,14 @@ def integrate_rectangle(f, rect, tol=1e-9,
     sum of residues strictly inside by the residue theorem."""
     require_tol(tol)
     c1, c2, c3, c4 = rect.corners()
-    edges = ((c1, c2), (c2, c3), (c3, c4), (c4, c1))
-    for a, b in edges:
-        if _segment_pole_distance(f, a, b) <= POLE_GUARD:
-            raise PoleOnPath(
-                f"rectangle edge [{a}, {b}] passes within {POLE_GUARD} of a pole")
     mirrored = f.s.imag == 0.0
     if mirrored:
         # f(conj z) = conj f(z): the lower half of the boundary adds minus
-        # the conjugate of the upper half's integral; walk the upper half,
-        # with the vertical edges halved and their tolerance shares with them
-        legs = ((complex(rect.c), c2, 0.125), (c2, c3, 0.25),
-                (c3, complex(rect.left), 0.125))
+        # the conjugate of the upper half's integral; walk the upper half
+        legs = ((complex(rect.c), c2), (c2, c3), (c3, complex(rect.left)))
     else:
-        legs = tuple((a, b, 0.25) for a, b in edges)
-    value, err, evals = _walk(_bound_integrand(f), legs, tol, max_evaluations,
-                              mirrored)
+        legs = ((c1, c2), (c2, c3), (c3, c4), (c4, c1))
+    value, err, evals = _walk(f, legs, tol, max_evaluations, mirrored)
     return QuadratureResult(value, err, 0.0, evals)
 
 
@@ -807,13 +807,18 @@ def integrate_real_improper(s, tol=1e-10,
     The algebraic t->0 endpoint is handled by integrating the first three
     expansion terms t^{-2} - t^{-1} + 5/12 analytically on (0, eps] and the
     (smooth, O(t)) remainder numerically; the far tail is cut where an
-    exponential bound falls below tol.
+    exponential bound falls below tol/4, and (0, eps], [eps, 1] and [1, cut]
+    are one _adaptive path held to 3 tol/4. No power of t overflows before
+    the value, ~Gamma(Re s) 2^-Re s, does; a larger one raises OverflowRegime.
     """
     s = complex(s)
     require_finite(s=s)
     if s.real <= 2.0:
         raise DomainViolation(f"integrate_real_improper needs Re(s) > 2, got {s}")
     require_tol(tol)
+    sig = s.real
+    if overflow_checked(math.lgamma, sig) - sig * math.log(2.0) > LOG_MAX:
+        raise OverflowRegime(f"integrate_real_improper({s}) overflows binary64")
     eps = 1e-3
     head = (eps ** (s - 2.0) / (s - 2.0) - eps ** (s - 1.0) / (s - 1.0)
             + (5.0 / 12.0) * eps ** s / s)
@@ -827,11 +832,10 @@ def integrate_real_improper(s, tol=1e-10,
         return acc * t ** (s - 1.0)
 
     def middle(t):
+        # t^(s-1) e^(-2t) / (1 - e^(-t))^2, the square of a half that is finite
         t = t.real
-        em1 = math.expm1(t)
-        return t ** (s - 1.0) / (em1 * em1)
-
-    sig = s.real
+        w = t ** (0.5 * s - 0.5) * (math.exp(-t) / math.expm1(-t))
+        return w * w
 
     def tail_cut_bound(Tc):
         # integrand <= t^{sig-1} e^{-2t} / (1-e^{-Tc})^2 beyond Tc; integrate by
@@ -839,22 +843,17 @@ def integrate_real_improper(s, tol=1e-10,
         d = 2.0 - max(sig - 1.0, 0.0) / Tc
         if d <= 0.5:
             return math.inf
-        return Tc ** (sig - 1.0) * math.exp(-2.0 * Tc) / ((1.0 - math.exp(-Tc)) ** 2 * d)
+        return (math.exp((sig - 1.0) * math.log(Tc) - 2.0 * Tc)
+                / (math.expm1(-Tc) ** 2 * d))
 
     Tc = max(30.0, 2.0 * sig)
     while tail_cut_bound(Tc) > 0.25 * tol:
         Tc += 5.0
-    value, err, evals = head, 0.0, 0
-    for fn, a, b in ((remainder, 0.0, eps), (middle, eps, 1.0),
-                     (middle, 1.0, Tc)):
-        try:
-            v, e, n = _adaptive_segment(fn, complex(a), complex(b), 0.25 * tol,
-                                        max_evaluations - evals)
-        except ToleranceUnreachable as exc:
-            exc.partial_value += value
-            exc.evaluations += evals
-            raise
-        value += v
-        err += e
-        evals += n
-    return QuadratureResult(value, err, tail_cut_bound(Tc), evals)
+    legs = ((remainder, 0j, complex(eps), ()), (middle, complex(eps), 1 + 0j, ()),
+            (middle, 1 + 0j, complex(Tc), ()))
+    try:
+        value, err, evals = _adaptive(legs, 0.75 * tol, 1.0, max_evaluations)
+    except ToleranceUnreachable as exc:
+        exc.partial_value += head
+        raise
+    return QuadratureResult(head + value, err, tail_cut_bound(Tc), evals)

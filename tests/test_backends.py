@@ -273,6 +273,8 @@ OVERFLOW_CALLS = (
     "1e9+0.5j, 1e-8)",
     "contour.integrate_rectangle(contour.zeta_zeta_gamma(4), "
     "contour.RectangleSpec(1.5, 1e9, 1.0), 1e-8)",
+    "contour.integrate_real_improper(400.0)",
+    "contour.integrate_real_improper(1e6)",
 )
 # Inputs whose pole scans once grew with their size, until they exhausted
 # memory: each must return, or raise a named MBZetaError, within a second.

@@ -15,7 +15,7 @@ import mbzeta
 from mbzeta import cli, contour, residues, specfun, verify, zeta
 from mbzeta._backend import kernels
 from mbzeta.contour import (ZETA_ZETA_GAMMA, RectangleSpec, VerticalLineSpec,
-                            _point_segment_distance, _segment_pole_distance,
+                            _nearest_point, _path_poles,
                             gamma_power, integrand_eval,
                             integrate_real_improper, integrate_rectangle,
                             integrate_segment, integrate_vertical,
@@ -122,11 +122,15 @@ def test_pole_walk_matches_brute_force(f, lo, hi, z0, z1):
     both = [complex(n) for n in brute] + right
     near = f.nearest_pole(z0)
     assert near in both and abs(z0 - near) == min(abs(z0 - p) for p in both)
+
+    def distance(p):
+        return abs(p - _nearest_point(p, z0, z1))
+
     # the scan reads a few poles around where the segment comes closest to
     # each field, so it may pick a different pole among those whose
     # distances differ only by the rounding of the coordinates
-    assert _segment_pole_distance(f, z0, z1) == pytest.approx(
-        min(_point_segment_distance(p, z0, z1) for p in both),
+    assert min(map(distance, _path_poles(f, z0, z1))) == pytest.approx(
+        min(map(distance, both)),
         rel=0.0, abs=1e-12 * (1.0 + abs(z0) + abs(z1)))
     # the disk check of numerical_residue reads the two nearest poles
     left, right = f.poles_around(z0.real, z0.real)
@@ -249,19 +253,6 @@ def test_vertical_line_value_is_real_for_real_parameters():
     assert abs(r.value.imag) < 1e-12
 
 
-def _record_segments(monkeypatch):
-    """Record the (z0, z1) of every _adaptive_segment call."""
-    paths = []
-    orig = contour._adaptive_segment
-
-    def recorder(f, z0, z1, *rest):
-        paths.append((z0, z1))
-        return orig(f, z0, z1, *rest)
-
-    monkeypatch.setattr(contour, "_adaptive_segment", recorder)
-    return paths
-
-
 def _record_integrand(monkeypatch):
     """Record the z of every kernel integrand call."""
     points = []
@@ -361,13 +352,11 @@ def test_real_s_line_sweep_against_closed_forms_and_gk(monkeypatch, seed):
         assert r.value.imag == 0.0
         assert abs(r.value - closed) <= tol
         assert r.err_estimate <= tol / 2 and r.tail_bound <= tol / 2
-        # GK on the same half line [c, c + iT], at the tolerance per unit
-        # length of the whole line, mirrored the way the trapezoid is
+        # GK on the same half line [c, c + iT] at tol/4, mirrored the way
+        # the trapezoid is: the whole line is 2 Re of the half's value
         T = max(z.imag for z in points)
-        raw, _, _ = contour._adaptive_segment(
-            contour._bound_integrand(f), complex(c), complex(c, T),
-            0.25 * tol * contour.TWO_PI, contour.DEFAULT_MAX_EVALUATIONS)
-        assert abs(r.value.real - raw.imag / math.pi) <= tol
+        half = integrate_segment(f, complex(c), complex(c, T), 0.25 * tol)
+        assert abs(r.value.real - 2.0 * half.value.real) <= tol
 
 
 def _complex_closed_form(f):
@@ -564,42 +553,46 @@ def test_err_estimate_covers_kernel_rounding(seed):
         assert abs(r.value - closed) <= r.total_error + oracle_err, (s, u)
 
 
-def test_rectangle_budget_raise_counts_every_leg():
-    # the budget runs out on the last panel: the raise counts the finished
-    # edges' evaluations too, all the full run spent
+def test_rectangle_budget_raise_counts_every_leg(monkeypatch):
+    # the budget runs out before the last bisection, which is not started:
+    # the raise counts every evaluation spent, on every edge
     f = zeta_zeta_gamma(4.0)
     rect = RectangleSpec(1.5, 2.0, 10.0)
     full = integrate_rectangle(f, rect, 1e-9)
+    points = _record_integrand(monkeypatch)
     with pytest.raises(ToleranceUnreachable) as info:
         integrate_rectangle(f, rect, 1e-9, max_evaluations=full.evaluations - 15)
-    assert info.value.evaluations == full.evaluations
+    assert info.value.evaluations == len(points) == full.evaluations - 30
+    assert {z.real for z in points} >= {rect.c, rect.left}
 
 
 def test_real_axis_budget_raise_carries_the_head_and_finished_segments():
-    # the budget runs out on the last panel of the last segment: the partial
-    # value holds the analytic head on (0, 1e-3] and the finished segments,
-    # and the count all the evaluations spent
+    # the budget runs out before the last bisection: the partial value holds
+    # the analytic head on (0, 1e-3], about 5e-7 at s = 4, and every panel
+    # of the three pieces, and the count all the evaluations spent
     full = integrate_real_improper(4.0, 1e-10)
     with pytest.raises(ToleranceUnreachable) as info:
         integrate_real_improper(4.0, 1e-10, max_evaluations=full.evaluations - 15)
-    assert info.value.evaluations == full.evaluations
-    assert abs(info.value.partial_value - full.value) < 1e-6
+    assert info.value.evaluations == full.evaluations - 30
+    assert abs(info.value.partial_value - full.value) < 1e-8
 
 
-def test_real_s_rectangle_integrates_the_upper_half():
+def test_real_s_rectangle_integrates_the_upper_half(monkeypatch):
     f = gamma_power(3.0, 0.5)
     rect = RectangleSpec(0.8, 4.3, 20.0)
+    points = _record_integrand(monkeypatch)
     r = integrate_rectangle(f, rect, 1e-9)
+    monkeypatch.undo()
     expect = sum((residue_at(f, p).value
                   for p in residues.enumerate_poles(f, rect)), start=0j)
     assert abs(r.value - expect) < 1e-9
+    assert r.value.imag == 0.0
+    # the upper half only, in fewer evaluations than the whole boundary
+    assert min(z.imag for z in points) >= 0.0
     c1, c2, c3, c4 = rect.corners()
-    full = sum(contour._adaptive_segment(
-        contour._bound_integrand(f), a, b, 0.25 * 1e-9 * contour.TWO_PI,
-        contour.DEFAULT_MAX_EVALUATIONS)[2]
-        for a, b in ((c1, c2), (c2, c3), (c3, c4), (c4, c1)))
-    # half of each vertical edge but its root panel, the top edge, no bottom
-    assert r.evaluations == (full - 30) // 2 < full
+    _, _, full = contour._walk(f, ((c1, c2), (c2, c3), (c3, c4), (c4, c1)),
+                               1e-9, contour.DEFAULT_MAX_EVALUATIONS)
+    assert r.evaluations == len(points) < full
 
 
 def test_complex_s_integrates_the_whole_path(monkeypatch):
@@ -607,27 +600,26 @@ def test_complex_s_integrates_the_whole_path(monkeypatch):
     # at the tolerance share it always had, and its line runs the trapezoid
     # over the whole line, from -T to T
     f = zeta_gamma_power(complex(4.0, 3.0), 2.5)
-    paths = _record_segments(monkeypatch)
     points = _record_integrand(monkeypatch)
     integrate_vertical(f, VerticalLineSpec(1.5, 1e-10))
-    assert paths == []
     assert min(z.imag for z in points) == -max(z.imag for z in points) < 0.0
-    rect = integrate_rectangle(f, RectangleSpec(1.5, 2.0, 10.0), 1e-9)
-    corners = RectangleSpec(1.5, 2.0, 10.0).corners()
-    edges = paths
-    assert edges == list(zip(corners, corners[1:] + corners[:1]))
-
-    def walk(share, *legs):
-        raw, err, evals = 0j, 0.0, 0
-        for a, b in legs:
-            v, e, n = contour._adaptive_segment(
-                contour._bound_integrand(f), a, b, share * contour.TWO_PI,
-                contour.DEFAULT_MAX_EVALUATIONS)
-            raw, err, evals = raw + v, err + e, evals + n
-        return raw / (2j * math.pi), err / contour.TWO_PI, evals
-
-    assert (rect.value, rect.err_estimate, rect.evaluations) == \
-        walk(0.25 * 1e-9, *edges)
+    assert all(z.real == 1.5 for z in points)
+    points.clear()
+    rect = RectangleSpec(1.5, 2.0, 10.0)
+    r = integrate_rectangle(f, rect, 1e-9)
+    assert r.evaluations == len(points)
+    # every point lies on the boundary, and each of the four edges has some
+    right = [z for z in points if z.real == rect.c]
+    left = [z for z in points if z.real == rect.left]
+    top = [z for z in points if z.imag == rect.T]
+    bottom = [z for z in points if z.imag == -rect.T]
+    assert left and right and top and bottom
+    assert len(set(left + right + top + bottom)) == len(set(points))
+    assert min(z.imag for z in right) < 0.0 < max(z.imag for z in right)
+    assert min(z.imag for z in left) < 0.0 < max(z.imag for z in left)
+    expect = sum((residue_at(f, p).value
+                  for p in residues.enumerate_poles(f, rect)), start=0j)
+    assert abs(r.value - expect) < 1e-9
 
 
 def test_segment_additivity_and_conjugation():
@@ -683,22 +675,87 @@ def test_rectangle_edge_through_pole():
         integrate_rectangle(f, RectangleSpec(1.0, 2.0, 10.0))
 
 
+def _residue_sum(f, rect):
+    return sum((residue_at(f, p).value
+                for p in residues.enumerate_poles(f, rect)), start=0j)
+
+
+@pytest.mark.parametrize("z0, z1", [(complex(-1e9, 0.5), complex(1.0, 0.5)),
+                                     (complex(-1e9, 0.5), complex(-5.0, 0.5)),
+                                     (complex(-5.0, 0.5), complex(-1e9, 0.5))])
+def test_long_segment_is_graded_toward_its_poles(z0, z1):
+    # the first panel of a segment 1e9 long once held its 15 nodes ~1e8
+    # apart, where the integrand is 0, so Kronrod and Gauss agreed on 0j;
+    # the cuts at 4, 8, 16, ... from the poles next to the strip, whichever
+    # end the segment starts from, find the mass. Left of -80 the integrand
+    # is below 1e-20.
+    f = gamma_power(3.0, 0.5)
+    tol = 1e-8
+    r = integrate_segment(f, z0, z1, tol)
+    short = integrate_segment(f, complex(max(z0.real, -80.0), 0.5),
+                              complex(max(z1.real, -80.0), 0.5), 1e-12)
+    assert abs(short.value) > 1e3 * tol
+    assert abs(r.value - short.value) <= tol
+
+
+def test_long_rectangle_matches_its_residues():
+    # every left pole of gamma_power(3, 0.5) lies inside; their residues
+    # sum to Gamma(3) 1.5^-3, where the parent walker returned 0.5108
+    f = gamma_power(3.0, 0.5)
+    tol = 1e-8
+    r = integrate_rectangle(f, RectangleSpec(1.5, 1e9, 1.0), tol)
+    assert abs(r.value - 2.0 * 1.5 ** -3) <= tol
+
+
+@pytest.mark.parametrize("s, rect, rtol", [
+    (complex(6.9083641074308595, 8.84014978066711),
+     RectangleSpec(3.8374801598604655, 19.50069030790153, 57.96410434601462),
+     1.5e-8),
+    (complex(7.0738302060023095, 9.187865595863315),
+     RectangleSpec(5.083371959591527, 20.485957161166173, 54.4996802059902),
+     4.34e-9),
+], ids=["plane-seed-9", "plane-seed-13"])
+def test_tall_rectangles_around_ten_poles_match_their_residues(s, rect, rtol):
+    # two rectangles of perfbench's plane workload that the walker with
+    # per-panel tolerance shares got 1.16 and 2.34 tol wrong
+    f = zeta_zeta_gamma(s)
+    expect = _residue_sum(f, rect)
+    tol = rtol * abs(expect)
+    r = integrate_rectangle(f, rect, tol)
+    assert abs(r.value - expect) <= tol
+    assert r.err_estimate <= tol
+
+
+def test_gk_path_below_its_rounding_floor_raises_early():
+    # the path's rounding floor, eps int |f| |dz| / 2 pi, is about 2e-16:
+    # tol 1e-15 is below 8 floors, and the walker says so after its first
+    # panels instead of spending the budget
+    f = zeta_zeta_gamma(4.0)
+    with pytest.raises(ToleranceUnreachable, match="rounding floor") as info:
+        integrate_segment(f, complex(1.5, -30.0), complex(1.5, 30.0), 1e-15,
+                          max_evaluations=100_000)
+    assert 0 < info.value.evaluations < 1000
+    assert "tol 1e-15" in str(info.value)
+
+
 def test_budget_exhaustion_carries_partial_state():
-    # GK on a segment: panels land in 15-point batches, so the count may
-    # overshoot one round
+    # GK on a segment starts no panel past the budget: below the 225
+    # evaluations of its first panels, cut at the poles' breakpoints, it
+    # raises before evaluating any
     f = zeta_zeta_gamma(complex(4.0, 0.5))
     z0, z1 = complex(1.5, -30.0), complex(1.5, 30.0)
     with pytest.raises(ToleranceUnreachable) as info:
         integrate_segment(f, z0, z1, 1e-13, max_evaluations=60)
-    assert 60 <= info.value.evaluations <= 60 + 30
-    assert info.value.partial_value is not None
-    # one panel short of the whole segment, the partial value is the
-    # segment's value but for the top panel, in the value's 1/(2 pi i) units
+    assert info.value.evaluations == 0
+    assert info.value.partial_value == 0j
+    # one bisection short of the whole segment, the partial value is the sum
+    # of all its current panels, in the value's 1/(2 pi i) units
     full = integrate_segment(f, z0, z1, 1e-10)
     with pytest.raises(ToleranceUnreachable) as info:
         integrate_segment(f, z0, z1, 1e-10,
                           max_evaluations=full.evaluations - 15)
-    assert abs(info.value.partial_value - full.value) < 1e-6
+    assert info.value.evaluations == full.evaluations - 30
+    assert abs(info.value.partial_value - full.value) < 1e-10
     # the trapezoid on a real-s line does not start a level past the budget:
     # of its levels of 9, 17 and 33 nodes, it stops at the 17-node level,
     # which the 33-node one accepts
@@ -727,24 +784,18 @@ def test_budget_exhaustion_carries_partial_state():
 
 @pytest.mark.parametrize("s", [4.0, complex(4.0, 0.5)], ids=["real", "complex"])
 def test_rectangle_budget_partial_counts_the_finished_legs(s):
-    # a budget that runs out on the first panel of the last leg leaves the
-    # finished legs, in value's units and, for real s, mirrored
+    # a budget that runs out before the last bisection leaves every panel of
+    # every leg, in value's units and, for real s, mirrored: 2i Im of the
+    # upper half's raw integral, a real value
     f = zeta_zeta_gamma(s)
     rect = RectangleSpec(1.5, 2.0, 10.0)
     tol = 1e-9
-    c1, c2, c3, _ = rect.corners()
-    if s.imag == 0.0:
-        legs = ((complex(rect.c), c2, 0.125), (c2, c3, 0.25))
-    else:
-        legs = ((c1, c2, 0.25), (c2, c3, 0.25), (c3, rect.corners()[3], 0.25))
-    done = [integrate_segment(f, a, b, share * tol) for a, b, share in legs]
+    full = integrate_rectangle(f, rect, tol)
     with pytest.raises(ToleranceUnreachable) as info:
-        integrate_rectangle(f, rect, tol, max_evaluations=sum(
-            r.evaluations for r in done) + 14)
-    finished = sum(r.value for r in done)
+        integrate_rectangle(f, rect, tol, max_evaluations=full.evaluations - 1)
     if s.imag == 0.0:
-        finished = complex(2.0 * finished.real, 0.0)
-    assert abs(info.value.partial_value - finished) < 1e-15
+        assert info.value.partial_value.imag == 0.0
+    assert abs(info.value.partial_value - full.value) < tol
 
 
 def test_improper_integral_values():
@@ -765,6 +816,25 @@ def test_improper_integral_complex_s():
     expect = cmath.exp(oracles.loggamma_product(s)) * (
         riemann_zeta(s - 1.0) - riemann_zeta(s))
     assert abs(r.value - expect) / abs(expect) < 1e-9
+
+
+@pytest.mark.parametrize("s", [122.0, 150.0, 170.0])
+def test_improper_integral_at_large_s(s):
+    # t^(s-1) overflows binary64 at the cut, ~2s, though the value does not;
+    # Gamma(s)(zeta(s-1) - zeta(s)) cancels to 0 here, so the oracle is
+    # Gamma(s) sum_k (k-1) k^-s
+    expect = math.gamma(s) * zeta.double_sum_oracle(s).real
+    tol = 1e-10 * expect
+    r = integrate_real_improper(s, tol)
+    assert abs(r.value - expect) <= tol
+
+
+def test_improper_integral_at_large_s_below_its_floor_raises_named():
+    # at s = 122 the value is ~1e163 and the default tol 1e-10 lies far below
+    # its rounding floor; the cut that tol asks for, ~370, once overflowed
+    # t^(s-1) as a raw OverflowError
+    with pytest.raises(ToleranceUnreachable, match="rounding floor"):
+        integrate_real_improper(122.0)
 
 
 def test_improper_integral_domain():
