@@ -19,14 +19,12 @@ from .contour import (GAMMA_POWER, ZETA_GAMMA_POWER, ZETA_ZETA_GAMMA,
                       zeta_gamma_power, zeta_zeta_gamma)
 from .errors import (ConfigError, DomainViolation, IndexBeyondTable,
                      MBZetaError, NotAPole, OverflowRegime, PoleOnBoundary,
-                     PoleOnCircle, PoleOnPath, PoleProximity, SectorViolation,
+                     PoleOnCircle, PoleOnPath, PoleProximity,
                      ToleranceUnreachable, UnknownCaseKind, UsageError)
 from .residues import (PoleLocation, ResidueTerm, TailStudy,
                        asymptotic_tail_terms, classify_pole, enumerate_poles,
                        numerical_residue, residue_at)
-from .specfun import (bernoulli, bernoulli_table, beta, gamma,
-                      gamma_pole_residue, log_gamma, stirling_defect,
-                      stirling_main_term)
+from .specfun import bernoulli, beta, gamma, log_gamma
 from .verify import (CheckEntry, DecayStudy, EnvelopeFit, IdentityCase,
                      VerificationReport, check_identity, check_rectangle,
                      decay_study, default_config, fit_envelope, run_suite)
@@ -45,14 +43,13 @@ __all__ = [
     # errors
     "MBZetaError", "ConfigError", "DomainViolation", "IndexBeyondTable",
     "NotAPole", "OverflowRegime", "PoleOnBoundary", "PoleOnCircle",
-    "PoleOnPath", "PoleProximity", "SectorViolation", "ToleranceUnreachable",
-    "UnknownCaseKind", "UsageError",
+    "PoleOnPath", "PoleProximity", "ToleranceUnreachable", "UnknownCaseKind",
+    "UsageError",
     # residues
     "PoleLocation", "ResidueTerm", "TailStudy", "asymptotic_tail_terms",
     "classify_pole", "enumerate_poles", "numerical_residue", "residue_at",
     # specfun
-    "bernoulli", "bernoulli_table", "beta", "gamma", "gamma_pole_residue",
-    "log_gamma", "stirling_defect", "stirling_main_term",
+    "bernoulli", "beta", "gamma", "log_gamma",
     # verify
     "CheckEntry", "DecayStudy", "EnvelopeFit", "IdentityCase",
     "VerificationReport", "check_identity", "check_rectangle", "decay_study",

@@ -4,6 +4,7 @@ Everything here is derived from exact rational arithmetic at import time (no
 typed-in decimal literals to drift), except the Gauss-Kronrod nodes/weights,
 which are the standard QUADPACK dqk15 constants.
 """
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -14,37 +15,33 @@ __all__ = [
 BERNOULLI_MAX_INDEX = 64
 
 
-def _bernoulli_table(n_max):
-    # sum_{j=0}^{n} C(n+1, j) B_j = 0  with B_0 = 1 gives every B_n exactly.
-    table = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        binom = 1
-        for j in range(n):
-            acc += binom * table[j]
-            binom = binom * (n + 1 - j) // (j + 1)
-        table.append(-acc / (n + 1))
+def _bernoulli_fractions(n_max):
+    # Brent & Harvey's TangentNumbers (2013): the integer recurrence below
+    # leaves the tangent numbers T_1..T_m in t, and then
+    # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); B_1 = -1/2, other odd B_n = 0.
+    m = n_max // 2
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    table = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n_max - 1)
+    for k in range(1, m + 1):
+        table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
     return tuple(table)
 
 
-BERNOULLI_FRACTIONS = _bernoulli_table(BERNOULLI_MAX_INDEX)
+BERNOULLI_FRACTIONS = _bernoulli_fractions(BERNOULLI_MAX_INDEX)
 
 # B_{2k} / (2k (2k-1)), k = 1..10: the Stirling-series correction coefficients.
 STIRLING_COEFFS = tuple(
     float(BERNOULLI_FRACTIONS[2 * k] / (2 * k * (2 * k - 1))) for k in range(1, 11)
 )
 
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 # B_{2k} / (2k)!, k = 1..16: Euler-Maclaurin correction coefficients.
 EM_COEFFS = tuple(
-    float(BERNOULLI_FRACTIONS[2 * k] / _factorial(2 * k)) for k in range(1, 17)
+    float(BERNOULLI_FRACTIONS[2 * k] / math.factorial(2 * k)) for k in range(1, 17)
 )
 
 # QUADPACK dqk15: 15-point Kronrod nodes on [-1, 1] (nonnegative half) with the

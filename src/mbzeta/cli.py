@@ -375,12 +375,7 @@ def _execute_verify(cmd):
     if cmd.format == "csv":
         _emit(report.to_csv(), cmd.out)
     elif cmd.format == "text":
-        lines = [f"{'PASS' if e.passed else 'FAIL'} {e.id} "
-                 f"abs_err={e.abs_err:.3e} rel_err={e.rel_err:.3e} "
-                 f"tol={e.tolerance:g}" + (f" [{e.error}]" if e.error else "")
-                 for e in report.entries]
-        lines.append(f"overall_pass={'true' if report.overall_pass else 'false'}")
-        _emit("\n".join(lines), cmd.out)
+        _emit(report.to_text(), cmd.out)
     else:
         _emit(_json_text(report.to_dict()), cmd.out)
     return 0 if report.overall_pass else 1

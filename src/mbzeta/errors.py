@@ -15,10 +15,6 @@ class PoleProximity(MBZetaError):
         super().__init__(f"argument {z} within guard distance of pole {nearest_pole}")
 
 
-class SectorViolation(MBZetaError):
-    pass
-
-
 class IndexBeyondTable(MBZetaError):
     pass
 
@@ -47,10 +43,11 @@ def require_tol(tol):
 
 def overflow_checked(kernel, *args):
     """kernel(*args) from finite args, with binary64 overflow (an
-    OverflowError, or an infinite or NaN value) raised as OverflowRegime."""
+    OverflowError, an infinite or NaN value, or the ValueError cmath raises
+    when an intermediate is no longer finite) raised as OverflowRegime."""
     try:
         value = kernel(*args)
-    except OverflowError:
+    except (OverflowError, ValueError):
         value = math.inf
     if not cmath.isfinite(value):
         raise OverflowRegime(f"{kernel.__name__} overflows binary64 at "

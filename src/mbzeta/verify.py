@@ -392,6 +392,14 @@ class VerificationReport:
             ]))
         return "\n".join(lines) + "\n"
 
+    def to_text(self):
+        lines = [f"{'PASS' if e.passed else 'FAIL'} {e.id} "
+                 f"abs_err={e.abs_err:.3e} rel_err={e.rel_err:.3e} "
+                 f"tol={e.tolerance:g}" + (f" [{e.error}]" if e.error else "")
+                 for e in self.entries]
+        lines.append(f"overall_pass={'true' if self.overall_pass else 'false'}")
+        return "\n".join(lines) + "\n"
+
 
 DEFAULT_TOLERANCES = {
     "gamma_only": 1e-8,

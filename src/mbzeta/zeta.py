@@ -13,7 +13,8 @@ from fractions import Fraction
 from ._backend import kernels
 from ._kernel_constants import BERNOULLI_FRACTIONS, BERNOULLI_MAX_INDEX, EM_COEFFS
 from .errors import (DomainViolation, IndexBeyondTable, OverflowRegime,
-                     PoleProximity, overflow_checked, require_finite)
+                     PoleProximity, overflow_checked, require_finite,
+                     require_tol)
 from .specfun import POLE_GUARD
 
 __all__ = [
@@ -157,6 +158,10 @@ def _em_tail(K, w, order):
     # omitted correction term as a remainder estimate
     x = float(K)
     xs = x ** (-w)
+    if xs == 0.0:
+        # every term carries K^-w: the tail underflows, though the Pochhammer
+        # factor alone may overflow (inf * 0 would make it NaN)
+        return 0j, 0.0
     out = xs * x / (w - 1.0) + 0.5 * xs
     poch = w
     pw = xs / x
@@ -180,6 +185,7 @@ def double_sum_oracle(s, tol=1e-12):
     require_finite(s=s)
     if s.real <= 2.0:
         raise DomainViolation(f"double_sum_oracle needs Re(s) > 2, got {s}")
+    require_tol(tol)
     K = max(20, math.ceil(2.0 * abs(s.imag)))
     order = 12
     while True:

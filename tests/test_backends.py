@@ -217,7 +217,6 @@ NON_FINITE_CALLS = (
     "contour.VerticalLineSpec(1.5, nan).validate_for(contour.zeta_zeta_gamma(4))",
     "contour.VerticalLineSpec(1.2, inf).validate_for(contour.gamma_power(3, .5))",
     "contour.integrate_real_improper(nan)",
-    "specfun.nearest_gamma_pole(nan)",
     "contour.integrate_segment(contour.gamma_power(3, .5), 1j, 2+1j, nan)",
     "contour.integrate_segment(contour.gamma_power(3, .5), 1j, 2+1j, 0.0)",
     "contour.integrate_rectangle(contour.gamma_power(3, .5), "
@@ -226,9 +225,11 @@ NON_FINITE_CALLS = (
     "contour.integrate_real_improper(4, nan)",
     "contour.integrate_real_improper(4, inf)",
     "residues.asymptotic_tail_terms(nan)",
-    "specfun.stirling_main_term(nan)",
     "zeta.double_sum_oracle(nan)",
-    "specfun.gamma_pole_residue(nan)",
+    "zeta.double_sum_oracle(3, nan)",
+    "zeta.double_sum_oracle(3, -1.0)",
+    "specfun.bernoulli(nan)",
+    "specfun.bernoulli(inf)",
     "zeta.zeta_negative_integer(nan)",
     "contour.integrate_rectangle(contour.gamma_power(3, .5), "
     "contour.RectangleSpec(nan, 1, 1))",
@@ -263,6 +264,7 @@ NON_FINITE_CALLS = (
 OVERFLOW_CALLS = (
     "specfun.log_gamma(1e308)",
     "specfun.gamma(200.0)",
+    "specfun.gamma(complex(0.5, 1e308))",
     "specfun.beta(1e308, 1.0)",
     "zeta.riemann_zeta(-200.0)",
     "zeta.riemann_zeta(-400.0)",

@@ -896,6 +896,60 @@ def test_config_reaches_the_kernel(monkeypatch, kernel, run, want):
     assert all(c[-4:] == want for c in calls)
 
 
+# Every module's __all__, sorted: adding or removing a public name edits
+# this table on purpose.
+_PUBLIC_NAMES = {
+    mbzeta: [
+        "BACKEND", "CheckEntry", "ConfigError", "DecayStudy", "DomainViolation",
+        "EnvelopeFit", "GAMMA_POWER", "IdentityCase", "IndexBeyondTable",
+        "IntegrandFamily", "MBZetaError", "NotAPole", "OverflowRegime",
+        "PoleLocation", "PoleOnBoundary", "PoleOnCircle", "PoleOnPath",
+        "PoleProximity", "QuadratureResult", "RectangleSpec", "ResidueTerm",
+        "TailStudy", "ToleranceUnreachable", "UnknownCaseKind", "UsageError",
+        "VerificationReport", "VerticalLineSpec", "ZETA_GAMMA_POWER",
+        "ZETA_ZETA_GAMMA", "ZetaEvalConfig", "__version__",
+        "asymptotic_tail_terms", "bernoulli", "beta", "check_identity",
+        "check_rectangle", "classify_pole", "contour", "decay_study",
+        "default_config", "double_sum_oracle", "enumerate_poles",
+        "fit_envelope", "gamma", "gamma_power", "hurwitz_zeta",
+        "integrand_eval", "integrate_real_improper", "integrate_rectangle",
+        "integrate_segment", "integrate_vertical", "log_gamma",
+        "numerical_residue", "residue_at", "residues", "riemann_zeta",
+        "run_suite", "specfun", "verify", "zeta", "zeta_gamma_power",
+        "zeta_negative_integer", "zeta_zeta_gamma",
+    ],
+    cli: ["Command", "execute", "main", "parse_args"],
+    contour: [
+        "DEFAULT_MAX_EVALUATIONS", "FAMILY_PARAMS", "GAMMA_POWER",
+        "IntegrandFamily", "QuadratureResult", "RectangleSpec",
+        "VerticalLineSpec", "ZETA_GAMMA_POWER", "ZETA_ZETA_GAMMA",
+        "gamma_power", "integrand_eval", "integrate_real_improper",
+        "integrate_rectangle", "integrate_segment", "integrate_vertical",
+        "zeta_gamma_power", "zeta_zeta_gamma",
+    ],
+    residues: [
+        "GAMMA_POLE", "ODD_COMBINED", "PoleLocation", "ResidueTerm",
+        "TailStudy", "ZETA_POLE", "asymptotic_tail_terms", "classify_pole",
+        "enumerate_poles", "numerical_residue", "residue_at",
+    ],
+    specfun: ["BERNOULLI_MAX_INDEX", "POLE_GUARD", "bernoulli", "beta",
+              "gamma", "log_gamma"],
+    verify: [
+        "CheckEntry", "DecayStudy", "EnvelopeFit", "IDENTITY_KINDS",
+        "IdentityCase", "VerificationReport", "check_identity",
+        "check_rectangle", "decay_study", "default_config", "fit_envelope",
+        "run_suite",
+    ],
+    zeta: ["DEFAULT_CONFIG", "ZetaEvalConfig", "double_sum_oracle",
+           "hurwitz_zeta", "riemann_zeta", "zeta_negative_integer"],
+}
+
+
+def test_public_names_are_pinned():
+    for module, names in _PUBLIC_NAMES.items():
+        assert sorted(module.__all__) == names, module.__name__
+
+
 # Every setting of the package: the optional parameters of the public
 # callables, the fields of ZetaEvalConfig and the top-level keys of a verify
 # config. A new setting edits these on purpose.

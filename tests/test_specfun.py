@@ -1,4 +1,4 @@
-"""Gamma, Stirling, Bernoulli, and beta behavior.
+"""Gamma, Bernoulli, and beta behavior.
 
 Expected values are tagged by provenance: closed forms asserted directly,
 derived values cross-checked against the independent oracles in oracles.py
@@ -14,10 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mbzeta.errors import IndexBeyondTable, PoleProximity, SectorViolation
-from mbzeta.specfun import (bernoulli, bernoulli_table, beta, gamma,
-                            gamma_pole_residue, log_gamma, stirling_defect,
-                            stirling_main_term)
+from mbzeta.errors import DomainViolation, IndexBeyondTable, PoleProximity
+from mbzeta.specfun import bernoulli, beta, gamma, log_gamma
 
 HALF_LOG_PI = 0.5 * math.log(math.pi)
 
@@ -126,35 +124,6 @@ def test_pole_guard_raises_with_location():
     gamma(-3.0 + 1e-3)  # outside the guard: fine
 
 
-def test_stirling_main_term_and_defect():
-    # defect = log Gamma - main term -> B_2/(2z) = 1/(12 z) as |z| grows
-    d10 = stirling_defect(10.0)
-    d100 = stirling_defect(100.0)
-    assert abs(d10 - 8.330563e-3) < 1e-9
-    assert abs(d100 - 8.333306e-4) < 1e-9
-    assert abs(d10.real * 12.0 * 10.0 - 1.0) < 1e-2
-    # |defect|*|z| stays near 1/12 high on the imaginary direction
-    for z in (1 + 50j, 1 + 100j):
-        assert abs(stirling_defect(z)) * abs(z) < 2.0 * (1.0 / 12.0)
-
-
-def test_stirling_sector_violation():
-    with pytest.raises(SectorViolation):
-        stirling_main_term(complex(-5.0, 1e-4))
-    with pytest.raises(SectorViolation):
-        stirling_main_term(0.0)
-    stirling_main_term(complex(-5.0, 3.0))  # inside the sector: fine
-
-
-def test_gamma_pole_residue_values():
-    assert gamma_pole_residue(0) == 1.0
-    assert gamma_pole_residue(1) == -1.0
-    assert gamma_pole_residue(2) == 0.5
-    assert gamma_pole_residue(3) == float(Fraction(-1, 6))
-    # underflows to zero far out rather than raising
-    assert gamma_pole_residue(200) == 0.0
-
-
 def test_bernoulli_against_akiyama_tanigawa():
     # independent exact recomputation for every table index
     for n in range(0, 65):
@@ -170,11 +139,12 @@ def test_bernoulli_conventions_and_errors():
         bernoulli(65)
     with pytest.raises(IndexBeyondTable):
         bernoulli(-1)
+    with pytest.raises(DomainViolation):
+        bernoulli(0.5)
 
 
 def test_bernoulli_table_is_exact_closure():
-    table = bernoulli_table()
-    assert len(table) == 65
+    table = [bernoulli(n) for n in range(65)]
     # recurrence sum binom(n+1, j) B_j = 0 holds exactly in rationals
     for n in range(1, 65):
         total = sum(Fraction(math.comb(n + 1, j)) * table[j]

@@ -274,6 +274,10 @@ def test_report_serialization():
     assert lines[1].startswith("with;comma,")
     assert lines[1].endswith(",true")
     assert len(lines[1].split(",")) == 9
+    e = r.entries[0]
+    assert r.to_text() == (f"PASS with,comma abs_err={e.abs_err:.3e} "
+                           f"rel_err={e.rel_err:.3e} tol=1e-08\n"
+                           "overall_pass=true\n")
 
 
 def test_default_config_covers_every_kind():

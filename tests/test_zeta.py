@@ -245,3 +245,10 @@ def test_double_sum_oracle_domain():
         double_sum_oracle(2.0)
     with pytest.raises(DomainViolation):
         double_sum_oracle(complex(1.5, 40.0))
+
+
+def test_double_sum_oracle_underflows_to_zero_at_huge_s():
+    # 2^-s underflows, and from s ~ 1.05e28 on the EM tails' Pochhammer
+    # factors overflow while the powers they multiply underflow to 0
+    for s in (1e4, 1.05e28, 1e30, complex(1e300, 1.0)):
+        assert double_sum_oracle(s) == 0.0
