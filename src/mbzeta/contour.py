@@ -9,8 +9,7 @@ all of one shape,
     zeta_gamma_power  (1, 0,  1, -1)        a-1   zeta(z) Gamma(z) Gamma(s-z) (a-1)^{z-s}
 
 Poles, residues, line strips and tail bounds are read from the shape, never
-from the family's name; z -> s - z maps the shape onto (j, i, -alpha,
-alpha + beta), which gives the right field's residues from the left's.
+from the family's name.
 
 The integrals run along vertical lines (with an analytic truncation bound),
 straight segments, axis-aligned rectangles, and the positive real axis. The
@@ -26,18 +25,18 @@ of the whole path sum to tol; a tol below FLOOR_FACTOR rounding floors raises.
 For real s, f(conj z) = conj f(z): a rectangle walks its upper half, held to
 tol/2, and takes the full integral as 2i Im of it.
 
-Vertical lines run a nested trapezoid rule in a sinh-mapped variable u,
-which converges geometrically in the width of the strip around the line
-where the integrand is analytic. A real-s line uses the same mirror: every
-pole is real, so y = d sinh(u), d the distance from the line to the nearest
-pole, puts them all on Im u = +-pi/2. A complex-s line has poles at two
-heights, 0 and Im s; it subtracts the pole part of each field's nearest pole
-(within SUBTRACT_REACH), adds back that part's exact line integral, and maps
-y = Im s/2 + l sinh(u) over the whole line. The sums also give the rounding
-floor of the integral: a tol/2 below FLOOR_FACTOR floors raises
-ToleranceUnreachable at the first level that shows it, instead of spending
-the evaluation budget, and err_estimate adds KERNEL_ROUNDING floors for the
-kernels' own rounding.
+Vertical lines run a nested trapezoid rule in a mapped variable u, which
+converges geometrically in the width of the strip around the real u-axis
+where the integrand is analytic. The poles lie on two rows, the left field's
+at height 0 and the right field's at Im s; u(y) = asinh(y/a) +
+asinh((y - Im s)/b), a and b the distances from the line to each row's
+nearest pole, makes that pole the branch point of its own asinh and keeps
+every pole at |Im u| >= pi/2, however close the line passes. For real s
+the rows coincide and the map is odd, so the line takes its upper half. The
+sums also give the rounding floor of the integral: a tol/2 below
+FLOOR_FACTOR floors raises ToleranceUnreachable at the first level that
+shows it, instead of spending the evaluation budget, and err_estimate adds
+KERNEL_ROUNDING floors for the kernels' own rounding.
 """
 import cmath
 import heapq
@@ -74,36 +73,20 @@ TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
 LOG_MAX = math.log(sys.float_info.max)
 DEFAULT_MAX_EVALUATIONS = 2_000_000
-# a real-s line raises ToleranceUnreachable when tol/2 is below this multiple
-# of its trapezoid's rounding floor, a GK path when tol is below this multiple
-# of its own. With the check off, on the 108 real-s edge and floor probes of
-# perfbench's lines workload (seeds 1-40), the two wrong answers (off by 4.4
-# and 6.5 tol) had tol/2 below 0.45 floors; right ones came from 1.9 floors
-# up, with errors up to 0.39 tol below 8 floors.
+# a line raises ToleranceUnreachable when tol/2 is below this multiple of
+# its trapezoid's rounding floor, a GK path when tol is below this multiple
+# of its own. With the check off, on the 240 edge and floor probes of
+# perfbench's lines workload (seeds 1-40), the six wrong answers (off by 1.5
+# to 12.4 tol) had tol/2 below 3.9 floors; right ones came from 0.68 floors
+# up, with errors up to 0.82 tol below 8 floors.
 FLOOR_FACTOR = 8.0
 # a trapezoid line's err_estimate adds this many rounding floors for the
 # kernels' own rounding (~1e-14 relative), which the nested levels share and
 # so never show in their difference. Against mpmath at 30 digits, on the
 # 1,608 lines of perfbench's lines workload (seeds 201-208, timed and probe
-# ops) that returned, the worst error beyond the difference was 55 floors,
-# on a real-s line; complex-s lines needed at most 6.
+# ops) that returned, the worst error beyond the difference was 59 floors,
+# on a real-s line; complex-s lines needed at most 14.
 KERNEL_ROUNDING = 64.0
-# a complex-s line subtracts the pole part of each field's nearest pole
-# closer than this to it; the Gaussian carrier multiplies the integrand's
-# scale by up to e^(reach^2) at the pole's height
-SUBTRACT_REACH = 1.0
-# ... and only if |r|/d, the pole part where the line passes the pole, is
-# within this factor of |f| there. Where the regular part cancels most of
-# the pole part, the carrier adds more rounding than it removes singularity:
-# a gamma_power line (u = 0.098, Im s = -35.7) passing 0.95 from s had
-# |r|/d = 286 |f|, and the carrier's floor made its reachable tol raise. On
-# 3,942 timed complex-s ops of perfbench's lines workload (seeds 701-710,
-# 8 blocks each), the factor 16 left every tol/2 at least 17 times above
-# FLOOR_FACTOR floors (6.1 without it), for 492 evaluations on average
-# instead of 474.
-SUBTRACT_MAX_RATIO = 16.0
-# least scale of a complex-s line's sinh map
-SINH_MIN_SCALE = 4.0
 # a GK leg is first cut at the nearest point of each pole within this reach,
 # and this far times 2^k from it along the leg. Cuts for poles within 2 got a
 # plane rectangle of seed 9 1.16 tol wrong; cuts for every pole took the
@@ -222,9 +205,10 @@ class IntegrandFamily:
     def nearest_pole(self, z):
         """Closest pole of either field to z, the lower member on ties."""
         z = complex(z)
-        left, right = self.poles_around(z.real, z.real)
-        left = min(left, key=lambda p: abs(z - p))
-        right = min(right, key=lambda p: abs(z - p))
+        s = self.s
+        i, j = self.shape[:2]
+        left = complex(_nearest_member(i, z.real))
+        right = s - _nearest_member(j, s.real - z.real)
         return left if abs(z - left) <= abs(z - right) else right
 
 
@@ -235,6 +219,19 @@ def _field(with_zeta, lo, hi):
     top = 1 if with_zeta else 0
     return [n for n in range(math.ceil(lo), min(math.floor(hi), top) + 1)
             if not with_zeta or n >= 0 or n % 2]
+
+
+def _nearest_member(with_zeta, x):
+    """The member of _field(with_zeta, ...) nearest to x, the lower one on
+    ties: the integer nearest to x, at most 0, for Gamma alone; with zeta, 1
+    right of 1/2, 0 right of -1/2, and below that the nearest odd integer."""
+    if not with_zeta:
+        return min(math.ceil(x - 0.5), 0)
+    if x > 0.5:
+        return 1
+    if x > -0.5:
+        return 0
+    return 2 * math.ceil(x / 2.0) - 1
 
 
 def _window(with_zeta, x):
@@ -603,42 +600,30 @@ def _gamma_value(w):
 def _pole_coefficient(i, n):
     """The residue of Gamma(z) zeta(z)^i at its pole n, rounded once: zeta's
     pole at 1 has residue 1 and Gamma(1) = 1; Res Gamma(z) at -m is
-    (-1)^m / m!, and zeta(-m) is -1/2 at m = 0."""
+    (-1)^m / m!, and zeta(-m) is -1/2 at m = 0. zeta(-m) beyond the
+    Bernoulli table raises IndexBeyondTable, and 1/m! beyond binary64,
+    m > 170, OverflowRegime."""
     if n == 1:
         return 1.0
     m = -n
-    c = Fraction((-1) ** m, math.factorial(m))
     if i:
-        c *= zeta_negative_integer(m) if m else Fraction(-1, 2)
-    return float(c)
+        c = zeta_negative_integer(m) if m else Fraction(-1, 2)
+    elif m > 170:
+        raise OverflowRegime(f"the Gamma residue (-1)^m/m! at {n} is below binary64's range")
+    else:
+        c = 1
+    return float(c * Fraction((-1) ** m, math.factorial(m)))
 
 
-def _residue(shape, s, b, n):
-    """(residue of Gamma(z) Gamma(s-z) zeta(z)^i zeta(s-z)^j b^(alpha z +
-    beta s) at the member n of its left field, kernel calls made)."""
-    i, j, alpha, beta = shape
-    w = s - n
+def _residue(f, n):
+    """The residue of the integrand of f, Gamma(z) Gamma(s-z) zeta(z)^i
+    zeta(s-z)^j b^(alpha z + beta s), at the member n of its left field."""
+    i, j, alpha, beta = f.shape
+    w = f.s - n
     value = _pole_coefficient(i, n) * _gamma_value(w)
     if j:
         value *= _bound_zeta(DEFAULT_CONFIG)(w)
-    return value * b ** (alpha * n + beta * s), 1 + j
-
-
-def _left_residue(f, n):
-    """(residue of the integrand at the left-field pole n, kernel calls
-    made); residues.residue_at reports these."""
-    return _residue(f.shape, f.s, f.base, round(n.real))
-
-
-def _right_residue(f, p):
-    """(residue of the integrand at the right-field pole p, kernel calls
-    made). z -> s - z maps the integrand onto the shape (j, i, -alpha,
-    alpha + beta), p onto a member s - p of that shape's left field, and the
-    residue onto its negative."""
-    i, j, alpha, beta = f.shape
-    r, calls = _residue((j, i, -alpha, alpha + beta), f.s, f.base,
-                        round((f.s - p).real))
-    return -r, calls
+    return value * f.base ** (alpha * n + beta * f.s)
 
 
 def _integrate_vertical_unchecked(f, x0, tol,
@@ -656,97 +641,77 @@ def _integrate_vertical_unchecked(f, x0, tol,
             raise ToleranceUnreachable(
                 f"tail bound will not reach {tol} at practical heights")
     tail = _pair_tail_bound(x0, f.s, T, extra)
-    line = _real_s_line if f.s.imag == 0.0 else _complex_s_line
-    value, err, n = line(f, x0, T, tol, max_evaluations)
+    value, err, n = _line(f, x0, T, tol, max_evaluations)
     return QuadratureResult(value, err, tail, n)
 
 
-def _real_s_line(f, x0, T, tol, max_evaluations):
-    # f(conj z) = conj f(z), so the line integral is (1/2pi) int Re f(x0+iy)
-    # dy, an even integrand; y = d sinh(u) puts every pole, all of them real,
-    # on Im u = +-pi/2, where the trapezoid in u converges geometrically
+def _two_row_map(a, b, t):
+    """(u, y): u(y) = asinh(y/a) + asinh((y - t)/b), and its inverse y(u).
+
+    The inverse is closed-form. With A = asinh(y/a) and B = u - A =
+    asinh((y - t)/b), t = a sinh A - b sinh(u - A) = R sinh(A - phi), where
+    R^2 = a^2 + b^2 + 2ab cosh u and tanh phi = b sinh u / (a + b cosh u).
+    phi is taken as (1/2) log((a + b e^u) / (a + b e^-u)): as the atanh of
+    that ratio it loses up to 1e-6 of y, relative, where the ratio nears
+    +-1 (at |y| = 500, a = 0.01). y is read off the row with the smaller
+    a e^|A| or b e^|B|, the scale its rounding takes.
+    """
+    tilt = math.log(b / a)
+    r2, ab = a * a + b * b, a * b
+
+    def u_of(y):
+        return math.asinh(y / a) + math.asinh((y - t) / b)
+
+    def y_of(u):
+        e = math.exp(u)
+        ie = 1.0 / e
+        A = (0.5 * math.log((a + b * e) / (a + b * ie))
+             + math.asinh(t / math.sqrt(r2 + ab * (e + ie))))
+        B = u - A
+        return a * math.sinh(A) if abs(A) - abs(B) <= tilt else t + b * math.sinh(B)
+
+    return u_of, y_of
+
+
+def _line(f, x0, T, tol, max_evaluations):
+    # The poles lie on two rows, the left field's at height 0 and the right
+    # field's at t = Im s. In u of _two_row_map, a and b the distances from
+    # the line to the nearest pole of each row, that pole is the branch
+    # point of its own row's asinh, and every pole lies at |Im u| >= pi/2:
+    # the two-pole sinh map of Johnston & Elliott (IJNME 62 (2005) 564-578),
+    # which leaves the trapezoid in u a strip of fixed width whatever Im s
+    # and however close the line passes a pole. For real s, t = 0, the map
+    # is odd and f(conj z) = conj f(z): the line integral is
+    # (1/pi) int_0^T Re f(x0+iy) dy, and the nodes cover [0, T].
     fn = _bound_integrand(f)
-    d = abs(x0 - f.nearest_pole(x0))
-    if d <= POLE_GUARD:
+    sigma, t = f.s.real, f.s.imag
+    a = abs(x0 - _nearest_member(f.shape[0], x0))
+    b = abs(sigma - x0 - _nearest_member(f.shape[1], sigma - x0))
+    if min(a, b) <= POLE_GUARD:
         raise PoleOnPath(f"line Re z = {x0} passes within {POLE_GUARD} of a pole")
-    U = math.asinh(T / d)
+    u_of, y_of = _two_row_map(a, b, t)
+    mirrored = t == 0.0
+    bottom = 0.0 if mirrored else -T
+    u0 = u_of(bottom)
+    U = u_of(T) - u0
 
     def term(j, n):
-        u = j * U / n
-        g = fn(complex(x0, d * math.sinh(u))).real * d * math.cosh(u)
-        if j:
-            g *= 2.0
-        return g, abs(g)
+        # the end nodes sit at exactly y = bottom and y = T
+        y = bottom if j == 0 else T if j == n else y_of(u0 + j * U / n)
+        jac = 1.0 / (1.0 / math.hypot(y, a) + 1.0 / math.hypot(y - t, b))
+        v = fn(complex(x0, y))
+        if mirrored:
+            v = v.real * jac * (2.0 if j else 1.0)
+        else:
+            v *= jac * (0.5 if j in (0, n) else 1.0)
+        return v, abs(v)
 
-    value, err, n = _nested_trapezoid(term, 8, 9, U / TWO_PI, 0.5 * tol,
-                                      max_evaluations,
+    first = 8 if mirrored else 16
+    value, err, n = _nested_trapezoid(term, first, first + 1, U / TWO_PI,
+                                      0.5 * tol, max_evaluations,
                                       f"line Re z = {x0}, tol {tol:.3g}",
                                       FLOOR_FACTOR)
-    return complex(value, 0.0), err, n
-
-
-def _complex_s_line(f, x0, T, tol, max_evaluations):
-    # The poles sit at two heights, 0 (left field) and Im s (right field).
-    # The nearest pole p of each field, if closer than SUBTRACT_REACH and
-    # within SUBTRACT_MAX_RATIO of the integrand where the line passes it, is
-    # taken out as G(z) = r e^((z-p)^2) / (z-p), r its residue: G carries the
-    # pole, decays like a Gaussian along the line, and has the exact line
-    # integral +-r/2, by the sign of x0 - Re p. The rest is analytic in a
-    # wide strip, and one sinh map centred between the heights concentrates
-    # the nodes where it varies. Beyond +-T, which clears both heights by at
-    # least 10, G has mass below e^(1 - 100) |r|, far below the rounding
-    # floor eps |r| of the subtraction itself.
-    fn = _bound_integrand(f)
-    left, right = f.poles_around(x0, x0)
-    parts = []
-    added = 0j
-    calls = 0
-    for p, residue in ((min(left, key=lambda p: abs(x0 - p)), _left_residue),
-                       (min(right, key=lambda p: abs(x0 - p.real)),
-                        _right_residue)):
-        d = x0 - p.real
-        if abs(d) <= POLE_GUARD:
-            raise PoleOnPath(
-                f"line Re z = {x0} passes within {POLE_GUARD} of the pole {p}")
-        if abs(d) < SUBTRACT_REACH:
-            r, k = residue(f, p)
-            calls += k + 1
-            if abs(r) <= SUBTRACT_MAX_RATIO * abs(d * fn(complex(x0, p.imag))):
-                parts.append((p, r))
-                added += math.copysign(0.5, d) * r
-    mid = 0.5 * f.s.imag
-    scale = max(abs(mid), SINH_MIN_SCALE)
-    u0 = math.asinh((-T - mid) / scale)
-    U = math.asinh((T - mid) / scale) - u0
-
-    def term(j, n):
-        u = u0 + j * U / n
-        z = complex(x0, mid + scale * math.sinh(u))
-        v = fn(z)
-        # the floor counts the subtracted parts' own size: the difference
-        # rounds like its terms, however much of them cancels
-        mag = abs(v)
-        for p, r in parts:
-            w = z - p
-            g = r * cmath.exp(w * w) / w
-            v -= g
-            mag += abs(g)
-        jac = scale * math.cosh(u)
-        if j == 0 or j == n:
-            jac *= 0.5
-        return v * jac, mag * jac
-
-    try:
-        value, err, n = _nested_trapezoid(term, 16, 17, U / TWO_PI, 0.5 * tol,
-                                          max_evaluations - calls,
-                                          f"line Re z = {x0}, tol {tol:.3g}",
-                                          FLOOR_FACTOR)
-    except ToleranceUnreachable as exc:
-        if exc.partial_value is not None:
-            exc.partial_value += added
-        exc.evaluations += calls
-        raise
-    return value + added, err, n + calls
+    return complex(value), err, n
 
 
 def integrate_vertical(f, line, max_evaluations=DEFAULT_MAX_EVALUATIONS):
@@ -754,14 +719,14 @@ def integrate_vertical(f, line, max_evaluations=DEFAULT_MAX_EVALUATIONS):
 
     The line is truncated at the smallest height T (stepped by 2 from
     max(|Im s| + 10, 15)) whose analytic Gamma-pair tail bound is <= tol/2;
-    the finite part runs a nested sinh-mapped trapezoid until two levels
-    agree within tol/2: on the upper half line for real s, and for complex s
-    on the whole line, less the pole parts of the nearest poles, whose exact
-    line integrals are added back. evaluations counts every kernel call,
-    those for the residues of the subtracted poles too. err_estimate is the
-    last difference or the rounding floor eps * int |f|, whichever is
-    larger, plus KERNEL_ROUNDING floors; a tol/2 below FLOOR_FACTOR floors
-    raises ToleranceUnreachable.
+    the finite part runs a nested trapezoid in u(y) = asinh(y/a) +
+    asinh((y - Im s)/b), a and b the distances from the line to the nearest
+    pole at height 0 and at height Im s, until two levels agree within
+    tol/2: on the upper half line for real s, on the whole line for complex
+    s. evaluations counts the integrand calls. err_estimate is the last
+    difference or the rounding floor eps * int |f|, whichever is larger,
+    plus KERNEL_ROUNDING floors; a tol/2 below FLOOR_FACTOR floors raises
+    ToleranceUnreachable.
     """
     line.validate_for(f)
     return _integrate_vertical_unchecked(f, line.c, line.tol, max_evaluations)

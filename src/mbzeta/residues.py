@@ -9,15 +9,15 @@ Left pole field, on the real axis, of Gamma(z) zeta(z)^i:
                           are regular because the trivial zeta zeros cancel
                           them.
 Rectangle residue sums cover this field only, and a rectangle that reaches
-the right field of Gamma(s-z) zeta(s-z)^j raises. The right field's residues
-(contour._right_residue) serve the pole subtraction of complex-s lines.
+the right field of Gamma(s-z) zeta(s-z)^j raises; no code path computes
+the right field's residues.
 """
 import cmath
 import math
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .contour import _bound_integrand, _left_residue, _nested_trapezoid
+from .contour import _bound_integrand, _nested_trapezoid, _residue
 from .errors import (DomainViolation, NotAPole, OverflowRegime, PoleOnBoundary,
                      PoleOnCircle, require_finite, require_tol)
 from .specfun import POLE_GUARD
@@ -124,7 +124,7 @@ def residue_at(f, p):
         p = classify_pole(f, p)
     elif not f.is_pole(p.position) or classify_pole(f, p.position).kind != p.kind:
         raise NotAPole(f"{p} is not a pole of {f.tag}")
-    return ResidueTerm(p, _left_residue(f, p.position)[0])
+    return ResidueTerm(p, _residue(f, round(p.position)))
 
 
 def numerical_residue(f, z0, radius=0.3, tol=1e-10):

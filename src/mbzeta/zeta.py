@@ -144,10 +144,13 @@ def hurwitz_zeta(s, a):
 
 def zeta_negative_integer(n):
     """Exact zeta(-n) = (-1)^n B_{n+1} / (n+1) as a Fraction."""
-    require_finite(n=n)
-    if n < 1 or n != int(n):
+    if not isinstance(n, int):
+        require_finite(n=n)
+        if n != int(n):
+            raise DomainViolation("n must be a positive integer")
+        n = int(n)
+    if n < 1:
         raise DomainViolation("n must be a positive integer")
-    n = int(n)
     if n + 1 > BERNOULLI_MAX_INDEX:
         raise IndexBeyondTable(f"need B_{n + 1}, table ends at B_{BERNOULLI_MAX_INDEX}")
     return Fraction(-1) ** n * BERNOULLI_FRACTIONS[n + 1] / (n + 1)

@@ -277,6 +277,13 @@ OVERFLOW_CALLS = (
     "contour.RectangleSpec(1.5, 1e9, 1.0), 1e-8)",
     "contour.integrate_real_improper(400.0)",
     "contour.integrate_real_improper(1e6)",
+    "residues.residue_at(contour.gamma_power(3, .5), -1e308)",
+)
+# An index beyond the exact Bernoulli table must raise IndexBeyondTable, in
+# the same probe.
+INDEX_CALLS = (
+    "specfun.bernoulli(10**400)",
+    "zeta.zeta_negative_integer(10**400)",
 )
 # Inputs whose pole scans once grew with their size, until they exhausted
 # memory: each must return, or raise a named MBZetaError, within a second.
@@ -290,9 +297,10 @@ HUGE_CALLS = (
     "residues.enumerate_poles(contour.gamma_power(3, 0.5), "
     "contour.RectangleSpec(1.5, 1e9, 1.0))",
 )
-# Real-s and complex-s lines, one per family each, and one whose tol is
-# below its rounding floor, in the same probe: {call: (tol, outcome)}. Both
-# backends must give the outcome, and values within tol of each other.
+# Real-s and complex-s lines, one per family each, a complex-s line 0.003
+# from the pole at 1, and one whose tol is below its rounding floor, in the
+# same probe: {call: (tol, outcome)}. Both backends must give the outcome,
+# and values within tol of each other.
 LINE_CALLS = {
     "contour.integrate_vertical(contour.gamma_power(3, 0.5), "
     "contour.VerticalLineSpec(1.2, 1e-10))": (1e-10, "returned"),
@@ -308,6 +316,8 @@ LINE_CALLS = {
     "contour.VerticalLineSpec(1.5, 1e-10))": (1e-10, "returned"),
     "contour.integrate_vertical(contour.zeta_gamma_power(4+3j, 2.5), "
     "contour.VerticalLineSpec(1.5, 1e-10))": (1e-10, "returned"),
+    "contour.integrate_vertical(contour.zeta_gamma_power(4+3j, 2.5), "
+    "contour.VerticalLineSpec(1.003, 1e-10))": (1e-10, "returned"),
 }
 _PROBE = """
 import json, math, resource, signal, sys, time
@@ -350,7 +360,8 @@ def _probe(request, probe_runs, backend):
         root = (SRC_ROOT if backend == "python"
                 else request.getfixturevalue("compiled_package"))
         out = _run_python(root, "-c", _PROBE, json.dumps(
-            NON_FINITE_CALLS + OVERFLOW_CALLS + HUGE_CALLS + tuple(LINE_CALLS)))
+            NON_FINITE_CALLS + OVERFLOW_CALLS + INDEX_CALLS + HUGE_CALLS
+            + tuple(LINE_CALLS)))
         assert out.returncode == 0, (out.returncode, out.stderr[-2000:])
         probe_runs[backend] = json.loads(out.stdout)
     return probe_runs[backend]
@@ -372,6 +383,13 @@ def test_non_finite_input_raises_domain_violation(call, probe_outcomes):
 def test_overflow_raises_overflow_regime(call, probe_outcomes):
     kind, seconds, _ = probe_outcomes[call]
     assert kind == "OverflowRegime"
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("call", INDEX_CALLS)
+def test_index_beyond_the_table_raises_index_beyond_table(call, probe_outcomes):
+    kind, seconds, _ = probe_outcomes[call]
+    assert kind == "IndexBeyondTable"
     assert seconds < 1.0
 
 

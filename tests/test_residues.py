@@ -110,6 +110,9 @@ def test_residue_kind_mismatch_rejected():
     zz = zeta_zeta_gamma(4.0)
     with pytest.raises(NotAPole):
         residue_at(zz, PoleLocation(1, GAMMA_POLE))
+    # a float position names the same pole as its integer
+    assert (residue_at(zz, PoleLocation(-3.0, ODD_COMBINED)).value
+            == residue_at(zz, -3).value)
 
 
 def test_numerical_residue_matches_closed_forms():
